@@ -28,6 +28,7 @@ from .model import (
     SystemConfig,
     complex_to_pair,
     config_from_dict,
+    db,
     validate_frequency_plan,
 )
 
@@ -265,20 +266,24 @@ def _cmd_integrate(cfg, sys_cfg, outdir, seed):
     return ["trajectory.csv"]
 
 
-def _cmd_spectra(cfg, sys_cfg, outdir, seed):
-    block = cfg["spectra_scan"]
-    omega = np.linspace(0.0, block["omega_norm_max"], int(block["points"]))
+def _write_spectra(path: Path, sys_cfg, omega, f_hz=None) -> None:
+    """Squeezing/anti-squeezing spectra on ``omega``, with an optional leading f_hz column."""
     eps = sys_cfg.pump.epsilon
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
     vm = spectra.two_mode_variance(eps, eta, omega, "minus")
     vp = spectra.two_mode_variance(eps, eta, omega, "plus")
-    from .model import db
+    header = ["omega_norm", "var_minus", "var_plus", "var_minus_db", "var_plus_db"]
+    columns = [omega, vm, vp, db(vm), db(vp)]
+    if f_hz is not None:
+        header.insert(0, "f_hz")
+        columns.insert(0, f_hz)
+    _write_csv(path, header, zip(*columns))
 
-    _write_csv(
-        outdir / "spectra.csv",
-        ["omega_norm", "var_minus", "var_plus", "var_minus_db", "var_plus_db"],
-        zip(omega, vm, vp, db(vm), db(vp)),
-    )
+
+def _cmd_spectra(cfg, sys_cfg, outdir, seed):
+    block = cfg["spectra_scan"]
+    omega = np.linspace(0.0, block["omega_norm_max"], int(block["points"]))
+    _write_spectra(outdir / "spectra.csv", sys_cfg, omega)
     return ["spectra.csv"]
 
 
@@ -287,17 +292,11 @@ def _cmd_sweep(cfg, sys_cfg, outdir, seed):
     eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], int(block["points"]))
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
     sigma = sys_cfg.phase_noise.sigma_theta
-    rows = []
-    for eps in eps_grid:
-        vm = spectra.two_mode_variance(eps, eta, 0.0, "minus")
-        vp = spectra.two_mode_variance(eps, eta, 0.0, "plus")
-        rows.append(
-            (
-                eps,
-                spectra.phase_noise_variance(vm, vp, sigma),
-                spectra.phase_noise_variance(vp, vm, sigma),
-            )
-        )
+    vm = spectra.two_mode_variance(eps_grid, eta, 0.0, "minus")
+    vp = spectra.two_mode_variance(eps_grid, eta, 0.0, "plus")
+    rows = zip(
+        eps_grid, spectra.phase_noise_variance(vm, vp, sigma), spectra.phase_noise_variance(vp, vm, sigma)
+    )
     _write_csv(outdir / "sweep.csv", ["epsilon", "var_minus_pn", "var_plus_pn"], rows)
     return ["sweep.csv"]
 
@@ -426,7 +425,10 @@ def _cmd_fit(cfg, sys_cfg, outdir, seed, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 4:
         raise ConfigError("fit input needs columns epsilon,var_minus,var_plus,uncert")
-    dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
+    try:
+        dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
+    except ValueError as exc:
+        raise ConfigError(f"bad fit input {input_path}: {exc}") from exc
     settings = cfg["fit_settings"]
     result = estimation.fit_phase_noise_model(
         dataset,
@@ -512,7 +514,7 @@ def _fig4_dataset(cfg, sys_cfg, seed) -> estimation.SqueezingDataset:
         vp = locksim.band_rms(plus, f_lo, f_hi, shot)
         # Relative band-power scatter of the Welch estimate: one over the
         # square root of (averaged segments x frequency bins in band).
-        nperseg = max(8, min(int(duration * rate) // 8, 2**16))
+        nperseg = estimation.default_segment_length(int(duration * rate))
         n_avg = max(1, 2 * int(duration * rate) // nperseg - 1)
         n_bins = max(1, int((f_hi - f_lo) * nperseg / rate))
         rel = 1.0 / np.sqrt(n_avg * n_bins)
@@ -543,20 +545,8 @@ def _cmd_reproduce_fig4(cfg, sys_cfg, outdir, seed):
 
 def _cmd_reproduce_fig5(cfg, sys_cfg, outdir, seed):
     block = cfg["reproduce_fig5"]
-    gamma = sys_cfg.cavity.gamma_total
     f = np.linspace(block["f_lo"], block["f_hi"], int(block["points"]))
-    omega = f / gamma
-    eps = sys_cfg.pump.epsilon
-    eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
-    vm = spectra.two_mode_variance(eps, eta, omega, "minus")
-    vp = spectra.two_mode_variance(eps, eta, omega, "plus")
-    from .model import db
-
-    _write_csv(
-        outdir / "fig5_spectra.csv",
-        ["f_hz", "omega_norm", "var_minus", "var_plus", "var_minus_db", "var_plus_db"],
-        zip(f, omega, vm, vp, db(vm), db(vp)),
-    )
+    _write_spectra(outdir / "fig5_spectra.csv", sys_cfg, f / sys_cfg.cavity.gamma_total, f_hz=f)
     return ["fig5_spectra.csv"]
 
 

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sp_signal
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-from .locksim import TimeSeries
-from .model import NumericalError, PhysicsDomainError
+from .model import TimeSeries
 from .spectra import phase_noise_variance, two_mode_variance
 
 WINDOWS = ("hann", "rectangular")
 
-# Upper bound for the logistic transform of sigma_Theta during fitting.
+# Upper bound of sigma_Theta during fitting.
 _SIGMA_MAX = 0.5
 
 
@@ -56,7 +55,10 @@ class SqueezingDataset:
 
     def __post_init__(self):
         pts = tuple(tuple(float(x) for x in p) for p in self.points)
-        for eps, vm, vp, _unc in pts:
+        for p in pts:
+            if not all(map(math.isfinite, p)):
+                raise ValueError(f"non-finite value in data point {p}")
+            eps, vm, vp, _unc = p
             if not 0.0 <= eps < 1.0:
                 raise ValueError(f"epsilon = {eps} outside [0, 1)")
             if vm <= 0 or vp <= 0:
@@ -91,6 +93,11 @@ class FitResult:
     at_boundary: bool = False
 
 
+def default_segment_length(n_samples: int) -> int:
+    """Welch segment length used when none is given: n/8, clipped to [8, 2**16]."""
+    return max(8, min(n_samples // 8, 2**16))
+
+
 def welch_psd(
     series: TimeSeries,
     segment_length: int | None = None,
@@ -102,7 +109,7 @@ def welch_psd(
         raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
     n = series.samples.size
     if segment_length is None:
-        segment_length = max(8, min(n // 8, 2**16))
+        segment_length = default_segment_length(n)
     if segment_length > n:
         raise ValueError("series shorter than one segment")
     if not 0.0 <= overlap_fraction <= 0.9:
@@ -148,24 +155,37 @@ def apply_calibration(series: TimeSeries, beta: float) -> TimeSeries:
     )
 
 
-def _model_variances(eps_grid: np.ndarray, eta: float, sigma: float, omega_norm: float, mode: str):
-    vm = np.array([two_mode_variance(e, eta, omega_norm, "minus") for e in eps_grid])
-    vp = np.array([two_mode_variance(e, eta, omega_norm, "plus") for e in eps_grid])
-    vm_pn = np.array([phase_noise_variance(m, p, sigma, mode) for m, p in zip(vm, vp)])
-    vp_pn = np.array([phase_noise_variance(p, m, sigma, mode) for m, p in zip(vm, vp)])
-    return vm_pn, vp_pn
+def _model_variances(eps: np.ndarray, eta: float, sigma: float, omega_norm: float, mode: str):
+    vm = two_mode_variance(eps, eta, omega_norm, "minus")
+    vp = two_mode_variance(eps, eta, omega_norm, "plus")
+    return phase_noise_variance(vm, vp, sigma, mode), phase_noise_variance(vp, vm, sigma, mode)
 
 
-def _to_natural(u: np.ndarray) -> tuple[float, float]:
-    eta = 1.0 / (1.0 + math.exp(-u[0]))
-    sigma = _SIGMA_MAX / (1.0 + math.exp(-u[1]))
-    return eta, sigma
+def _residual_fn(eps, vm, vp, unc, omega_norm: float, mode: str):
+    """Whitened residuals of both branches as a function of p = (eta, sigma)."""
+    use_weights = np.all(unc > 0)
+
+    def residuals(p: np.ndarray) -> np.ndarray:
+        m_vm, m_vp = _model_variances(eps, p[0], p[1], omega_norm, mode)
+        if use_weights:
+            # unc is the relative uncertainty: whiten each branch by its own
+            # absolute 1-sigma error.
+            return np.concatenate([(m_vm - vm) / (unc * vm), (m_vp - vp) / (unc * vp)])
+        return np.concatenate([np.log(m_vm) - np.log(vm), np.log(m_vp) - np.log(vp)])
+
+    return residuals
 
 
-def _to_unbounded(eta: float, sigma: float) -> np.ndarray:
-    eta = min(max(eta, 1e-6), 1.0 - 1e-6)
-    sigma = min(max(sigma, 1e-6 * _SIGMA_MAX), _SIGMA_MAX * (1.0 - 1e-6))
-    return np.array([math.log(eta / (1.0 - eta)), math.log(sigma / (_SIGMA_MAX - sigma))])
+def _best_fit(residuals, starts):
+    """Bounded least squares from each start: the lowest-cost result, and
+    whether any start converged."""
+    best, converged = None, False
+    for start in starts:
+        res = least_squares(residuals, start, bounds=([0.0, 0.0], [1.0, _SIGMA_MAX]))
+        if best is None or res.cost < best.cost:
+            best = res
+        converged = converged or bool(res.success)
+    return best, converged
 
 
 def fit_phase_noise_model(
@@ -177,75 +197,26 @@ def fit_phase_noise_model(
 ) -> FitResult:
     """Joint weighted least-squares fit of (eta, sigma_Theta) to both branches.
 
-    Derivative-free simplex with 9 multi-starts on a parameter grid,
-    logistic transforms keeping the parameters physical. Uncertainties come
-    from the finite-difference Jacobian at the optimum, cross-checked by a
-    seeded bootstrap over data points (the larger of the two is reported).
+    Bounded trust-region least squares (eta in [0, 1], sigma_Theta in
+    [0, 0.5]) with 9 multi-starts on a parameter grid. Uncertainties come
+    from the Jacobian at the optimum, cross-checked by a seeded bootstrap
+    over data points (the larger of the two is reported).
     """
     if len(data.points) < 4:
         raise ValueError("need at least 4 data points")
-    eps = data.epsilons
-    unc = data.uncertainties
-    use_weights = np.all(unc > 0)
-
-    def residuals(eta: float, sigma: float, vm: np.ndarray, vp: np.ndarray, w) -> np.ndarray:
-        m_vm, m_vp = _model_variances(eps, eta, sigma, omega_norm, mode)
-        if use_weights:
-            # w is the relative uncertainty: whiten each branch by its own
-            # absolute 1-sigma error.
-            return np.concatenate([(m_vm - vm) / (w * vm), (m_vp - vp) / (w * vp)])
-        return np.concatenate([np.log(m_vm) - np.log(vm), np.log(m_vp) - np.log(vp)])
-
-    def objective_factory(vm, vp, w):
-        def obj(u):
-            eta, sigma = _to_natural(u)
-            r = residuals(eta, sigma, vm, vp, w)
-            return float(r @ r)
-
-        return obj
-
-    weights = unc if use_weights else None
-
-    def solve(vm, vp, starts):
-        obj = objective_factory(vm, vp, weights)
-        best = None
-        ok = False
-        for eta0, sigma0 in starts:
-            res = minimize(
-                obj,
-                _to_unbounded(eta0, sigma0),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 2000},
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-            ok = ok or bool(res.success)
-        return best, ok
+    eps, vm, vp, unc = data.epsilons, data.var_minus, data.var_plus, data.uncertainties
 
     starts = [(e, s) for e in (0.6, 0.8, 0.95) for s in (0.002, 0.01, 0.05)]
-    best, converged = solve(data.var_minus, data.var_plus, starts)
-    eta_hat, sigma_hat = _to_natural(best.x)
-    r_opt = residuals(eta_hat, sigma_hat, data.var_minus, data.var_plus, weights)
+    best, converged = _best_fit(_residual_fn(eps, vm, vp, unc, omega_norm, mode), starts)
+    eta_hat, sigma_hat = map(float, best.x)
+    r_opt = best.fun
     residual_norm = float(np.linalg.norm(r_opt))
     at_boundary = sigma_hat < 1e-4 * _SIGMA_MAX or sigma_hat > (1.0 - 1e-4) * _SIGMA_MAX
 
-    # Finite-difference Jacobian in natural parameters.
-    n_res = r_opt.size
-    jac = np.empty((n_res, 2))
-    h_eta = max(1e-6, 1e-6 * eta_hat)
-    h_sigma = max(1e-7, 1e-6 * sigma_hat)
-    jac[:, 0] = (
-        residuals(min(eta_hat + h_eta, 1.0), sigma_hat, data.var_minus, data.var_plus, weights)
-        - residuals(max(eta_hat - h_eta, 0.0), sigma_hat, data.var_minus, data.var_plus, weights)
-    ) / (2.0 * h_eta)
-    jac[:, 1] = (
-        residuals(eta_hat, sigma_hat + h_sigma, data.var_minus, data.var_plus, weights)
-        - residuals(eta_hat, max(sigma_hat - h_sigma, 0.0), data.var_minus, data.var_plus, weights)
-    ) / (2.0 * h_sigma)
-    dof = max(n_res - 2, 1)
+    dof = max(r_opt.size - 2, 1)
     s2 = float(r_opt @ r_opt) / dof
     try:
-        cov = s2 * np.linalg.inv(jac.T @ jac)
+        cov = s2 * np.linalg.inv(best.jac.T @ best.jac)
         eta_err = float(math.sqrt(max(cov[0, 0], 0.0)))
         sigma_err = float(math.sqrt(max(cov[1, 1], 0.0)))
     except np.linalg.LinAlgError:
@@ -254,22 +225,18 @@ def fit_phase_noise_model(
 
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
-        n_pts = len(data.points)
+        n_pts = eps.size
         etas, sigmas = [], []
         start = [(eta_hat, max(sigma_hat, 1e-3))]
         for _ in range(n_bootstrap):
             idx = rng.integers(0, n_pts, n_pts)
-            try:
-                boot = SqueezingDataset(points=tuple(data.points[i] for i in idx))
-            except ValueError:
+            if np.unique(eps[idx]).size < 3:
                 continue
-            nonlocal_eps = boot.epsilons
-            if np.unique(nonlocal_eps).size < 3:
-                continue
-            sub, _ = _fit_once(boot, omega_norm, mode, start)
-            if sub is not None:
-                etas.append(sub[0])
-                sigmas.append(sub[1])
+            boot, _ = _best_fit(
+                _residual_fn(eps[idx], vm[idx], vp[idx], unc[idx], omega_norm, mode), start
+            )
+            etas.append(boot.x[0])
+            sigmas.append(boot.x[1])
         if len(etas) >= 10:
             eta_err = max(eta_err, float(np.std(etas)))
             sigma_err = max(sigma_err, float(np.std(sigmas)))
@@ -283,43 +250,3 @@ def fit_phase_noise_model(
         converged=converged,
         at_boundary=at_boundary,
     )
-
-
-def _fit_once(data: SqueezingDataset, omega_norm: float, mode: str, starts):
-    """Single-start refit used by the bootstrap; returns (eta, sigma) or None."""
-    eps = data.epsilons
-    unc = data.uncertainties
-    use_weights = np.all(unc > 0)
-
-    def obj(u):
-        eta, sigma = _to_natural(u)
-        m_vm, m_vp = _model_variances(eps, eta, sigma, omega_norm, mode)
-        if use_weights:
-            r = np.concatenate(
-                [
-                    (m_vm - data.var_minus) / (unc * data.var_minus),
-                    (m_vp - data.var_plus) / (unc * data.var_plus),
-                ]
-            )
-        else:
-            r = np.concatenate(
-                [
-                    np.log(m_vm) - np.log(data.var_minus),
-                    np.log(m_vp) - np.log(data.var_plus),
-                ]
-            )
-        return float(r @ r)
-
-    best = None
-    for eta0, sigma0 in starts:
-        res = minimize(
-            obj,
-            _to_unbounded(eta0, sigma0),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 1000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        return None, False
-    return _to_natural(best.x), bool(best.success)

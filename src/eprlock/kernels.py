@@ -1,19 +1,13 @@
-"""Hot numerical kernels: RK4 cavity integration and the servo inner loop.
-
-Each kernel exists as a pure-Python implementation (``*_py``) and a
-possibly numba-jitted alias (same name without the suffix). The alias is
-the one the rest of the package calls; which implementation it points to
-is decided once at import time by :mod:`eprlock.backend`.
-"""
+"""Hot numerical kernels: RK4 cavity integration and the servo inner loop."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .backend import maybe_jit
 
-
-def cavity_rk4_py(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
+def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     """Fixed-step RK4 for the seeded parametric-amplifier cavity equations.
 
     State is the complex pair (alpha_s, alpha_i) with opposite detunings
@@ -55,7 +49,7 @@ def cavity_rk4_py(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     return alpha_s, alpha_i, diverged
 
 
-def servo_loop_py(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
+def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     """Single-arm phase servo: error -> LPF -> PI -> 2nd-order actuator.
 
     ``dist`` is the open-loop disturbance phase relative to the lock
@@ -66,7 +60,7 @@ def servo_loop_py(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     frozen (anti-windup). Returns residual phase and per-sample
     saturation flags.
     """
-    n = dist.shape[0]
+    n = len(dist)
     res = np.empty(n)
     sat = np.zeros(n, np.bool_)
     lpf = 0.0
@@ -74,10 +68,13 @@ def servo_loop_py(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     y = 0.0
     v = 0.0
     frozen = False
-    for k in range(n):
-        phi = dist[k] - y
+    # A memoryview yields plain Python floats without copying the record:
+    # per-sample numpy scalar indexing and ufunc calls cost more than the
+    # arithmetic they carry.
+    for k, d in enumerate(memoryview(np.ascontiguousarray(dist, dtype=float))):
+        phi = d - y
         res[k] = phi
-        err = amp * np.sin(phi)
+        err = amp * math.sin(phi)
         lpf += lpf_alpha * (err - lpf)
         if not frozen:
             integ += ki * lpf * dt
@@ -97,7 +94,3 @@ def servo_loop_py(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
         else:
             frozen = False
     return res, sat
-
-
-cavity_rk4 = maybe_jit(cavity_rk4_py)
-servo_loop = maybe_jit(servo_loop_py)

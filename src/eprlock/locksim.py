@@ -16,7 +16,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import kernels
-from .model import PhysicsDomainError
+from .estimation import integrate_psd, welch_psd
+from .model import PhysicsDomainError, TimeSeries
 from .nopo import LockFieldState
 from .spectra import two_mode_variance
 
@@ -26,30 +27,6 @@ IN_LOCK_THRESHOLD = 0.1  # rad
 # Homodyne dark-noise clearance over shot noise, modeled as additive white
 # noise when enabled.
 DARK_NOISE_CLEARANCE_DB = 24.0
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Uniformly sampled real-valued record."""
-
-    sample_rate: float
-    samples: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.samples.size == 0:
-            raise ValueError("samples must be non-empty")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate
-
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -164,15 +141,7 @@ def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
     lpf_alpha = 1.0 - math.exp(-2.0 * math.pi * loop.lpf_cutoff * dt)
     w_res = 2.0 * math.pi * loop.actuator_resonance
     return kernels.servo_loop(
-        np.ascontiguousarray(dist, dtype=np.float64),
-        dt,
-        float(amp),
-        float(loop.kp),
-        float(loop.ki),
-        lpf_alpha,
-        w_res,
-        w_res / loop.actuator_q,
-        float(loop.actuator_range),
+        dist, dt, amp, loop.kp, loop.ki, lpf_alpha, w_res, w_res / loop.actuator_q, loop.actuator_range
     )
 
 
@@ -342,8 +311,6 @@ def band_rms(
 
     Returns a variance in shot-noise units (the squared normalized RMS).
     """
-    from .estimation import integrate_psd, welch_psd
-
     nyquist = series.sample_rate / 2.0
     if not 0.0 <= f_lo < f_hi <= nyquist:
         raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={nyquist}]")

@@ -57,6 +57,30 @@ def _require_finite(name: str, *values) -> None:
 
 
 @dataclass(frozen=True)
+class TimeSeries:
+    """Uniformly sampled real-valued record."""
+
+    sample_rate: float
+    samples: np.ndarray
+    label: str = ""
+
+    def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ValueError("sample_rate must be positive")
+        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        if self.samples.size == 0:
+            raise ValueError("samples must be non-empty")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.samples.size) / self.sample_rate
+
+    @property
+    def duration(self) -> float:
+        return self.samples.size / self.sample_rate
+
+
+@dataclass(frozen=True)
 class FrequencyPlan:
     """Wavelengths of the three fields plus the coherent-lock offset (Hz)."""
 

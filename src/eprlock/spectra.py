@@ -33,24 +33,27 @@ def _check_sign(sign: str) -> None:
 def two_mode_variance(epsilon, eta, omega_norm, sign: str, variant: str = "corrected"):
     """Noise variance of the joint quadrature Q+- at normalized frequency omega_norm.
 
-    Shot-noise units: 1.0 is the two-mode vacuum level.
+    Shot-noise units: 1.0 is the two-mode vacuum level. ``epsilon`` and
+    ``omega_norm`` broadcast against each other; a float is returned when
+    both are scalars.
     """
     _check_sign(sign)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    eps = float(epsilon)
-    if not 0.0 <= eps < 1.0:
-        raise PhysicsDomainError(f"epsilon = {eps} outside [0, 1)")
+    eps = np.asarray(epsilon, dtype=float)
+    # Written so that NaN fails the check too.
+    if not np.all((eps >= 0.0) & (eps < 1.0)):
+        raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
     if not 0.0 <= eta <= 1.0:
         raise PhysicsDomainError(f"eta = {eta} outside [0, 1]")
     w2 = np.square(np.asarray(omega_norm, dtype=float))
     if sign == "minus" or variant == "paper-literal":
-        denom = w2 + (1.0 + eps) ** 2
+        denom = w2 + np.square(1.0 + eps)
     else:
-        denom = w2 + (1.0 - eps) ** 2
+        denom = w2 + np.square(1.0 - eps)
     lorentz = eta * 4.0 * eps / denom
     result = 1.0 - lorentz if sign == "minus" else 1.0 + lorentz
-    if np.ndim(omega_norm) == 0:
+    if result.ndim == 0:
         return float(result)
     return result
 

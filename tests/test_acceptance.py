@@ -2,8 +2,7 @@
 
 Each test computes its result, emits a single human-readable verdict line
 (shown in the terminal summary via the conftest hook, and inline under -s),
-and then asserts. Timed criteria exclude JIT compilation: the kernels are
-warmed once per session before any stopwatch starts.
+and then asserts.
 """
 
 import json
@@ -11,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from eprlock import cli, estimation, locksim, nopo, spectra
 from eprlock.model import CavityParams, PumpParams, SeedParams, db, wrap_phase
@@ -25,31 +23,6 @@ def _verdict(number: int, description: str, ok: bool) -> None:
     print(line, flush=True)
     record_verdict(line)
     assert ok, line
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile the jitted kernels once so timed criteria measure run time only."""
-    nopo.integrate_dynamics(
-        CavityParams(gamma_in=0.5, gamma_out=0.5),
-        PumpParams(epsilon=0.1),
-        SeedParams(alpha_cl=1.0),
-        t_end=1.0,
-        dt=0.05,
-    )
-    quiet = locksim.DisturbanceSpec()
-    loop = locksim.LoopConfig(kp=0.01, ki=5e3)
-    fields = nopo.steady_state_linear_solve(
-        CavityParams(gamma_in=0.5, gamma_out=0.5), PumpParams(epsilon=0.1), SeedParams(alpha_cl=1.0)
-    )
-    locksim.run_closed_loop(
-        loop,
-        locksim.LoopConfig(kp=0.01, ki=5e3, beat_sign=-1),
-        (quiet, quiet, quiet),
-        fields,
-        duration=0.01,
-        rate=2e5,
-    )
 
 
 def test_criterion_01_steady_state_three_way_agreement():

@@ -260,6 +260,21 @@ class TestInputCommands:
         assert payload["eta_hat"] == pytest.approx(0.89, abs=1e-4)
         assert payload["sigma_hat"] == pytest.approx(0.01, abs=1e-4)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_fit_non_finite_input_is_2(self, tmp_path, capsys, bad):
+        table = tmp_path / "dataset.csv"
+        rows = [(0.1, 0.8, 1.3, 0.01), (0.3, 0.5, 2.5, 0.01), (0.5, bad, 5.0, 0.01), (0.7, 0.3, 12.0, 0.01)]
+        with open(table, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epsilon", "var_minus", "var_plus", "uncert"])
+            writer.writerows(rows)
+        out = tmp_path / "run"
+        assert cli.main(["fit", "--input", str(table), "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert not (out / "fit.json").exists()
+
 
 class TestReproducibility:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):

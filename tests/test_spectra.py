@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eprlock.model import NumericalError, PhaseNoiseSpec, PhysicsDomainError, db
 from eprlock import spectra
@@ -59,6 +62,33 @@ class TestTwoModeVariance:
             spectra.two_mode_variance(0.5, 1.1, 0.0, "minus")
         with pytest.raises(ValueError):
             spectra.two_mode_variance(0.5, 0.9, 0.0, "sideways")
+
+
+EPS_ARRAYS = hnp.arrays(
+    np.float64, st.integers(1, 16), elements=st.floats(0.0, 1.0, exclude_max=True)
+)
+BAD_EPS = st.one_of(
+    st.just(math.nan), st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=1.0)
+)
+
+
+class TestTwoModeVarianceBroadcast:
+    @pytest.mark.parametrize("variant", spectra.VARIANTS)
+    @pytest.mark.parametrize("sign", spectra.SIGNS)
+    @settings(max_examples=100, deadline=None)
+    @given(eps=EPS_ARRAYS, eta=st.floats(0.0, 1.0), omega=st.floats(0.0, 1e3))
+    def test_array_equals_scalar_calls(self, sign, variant, eps, eta, omega):
+        out = spectra.two_mode_variance(eps, eta, omega, sign, variant)
+        expected = [spectra.two_mode_variance(float(e), eta, omega, sign, variant) for e in eps]
+        assert out.shape == eps.shape
+        np.testing.assert_array_equal(out, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps=EPS_ARRAYS, bad=BAD_EPS, where=st.integers(0, 15))
+    def test_any_invalid_element_rejected(self, eps, bad, where):
+        eps[where % eps.size] = bad
+        with pytest.raises(PhysicsDomainError):
+            spectra.two_mode_variance(eps, 0.9, 0.0, "minus")
 
 
 class TestOrthogonalVariance:
