@@ -10,6 +10,7 @@ hash, seed and tool version. Exit codes: 0 success, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -198,6 +199,27 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+@contextlib.contextmanager
+def _rejected_as_config(what: str):
+    """Report a value that a library call rejects (plain ValueError) as a config error.
+
+    PhysicsDomainError is a ValueError too, but keeps its own exit code.
+    """
+    try:
+        yield
+    except PhysicsDomainError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _scan_points(cfg: dict, block: str) -> int:
+    points = cfg[block]["points"]
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise ConfigError(f"{block}.points must be a positive integer, got {points!r}")
+    return points
+
+
 def _loop_config(block: dict) -> locksim.LoopConfig:
     try:
         return locksim.LoopConfig(**block)
@@ -250,13 +272,14 @@ def _cmd_steady_state(cfg, sys_cfg, outdir, seed):
 def _cmd_integrate(cfg, sys_cfg, outdir, seed):
     gamma = sys_cfg.cavity.gamma_total
     block = cfg["integrate"]
-    traj = nopo.integrate_dynamics(
-        sys_cfg.cavity,
-        sys_cfg.pump,
-        sys_cfg.seed,
-        t_end=block["t_end_over_gamma"] / gamma,
-        dt=block["dt_over_gamma"] / gamma,
-    )
+    with _rejected_as_config("integrate settings"):
+        traj = nopo.integrate_dynamics(
+            sys_cfg.cavity,
+            sys_cfg.pump,
+            sys_cfg.seed,
+            t_end=block["t_end_over_gamma"] / gamma,
+            dt=block["dt_over_gamma"] / gamma,
+        )
     rows = zip(traj.times, traj.alpha_s.real, traj.alpha_s.imag, traj.alpha_i.real, traj.alpha_i.imag)
     _write_csv(
         outdir / "trajectory.csv",
@@ -282,14 +305,14 @@ def _write_spectra(path: Path, sys_cfg, omega, f_hz=None) -> None:
 
 def _cmd_spectra(cfg, sys_cfg, outdir, seed):
     block = cfg["spectra_scan"]
-    omega = np.linspace(0.0, block["omega_norm_max"], int(block["points"]))
+    omega = np.linspace(0.0, block["omega_norm_max"], _scan_points(cfg, "spectra_scan"))
     _write_spectra(outdir / "spectra.csv", sys_cfg, omega)
     return ["spectra.csv"]
 
 
 def _cmd_sweep(cfg, sys_cfg, outdir, seed):
     block = cfg["sweep_scan"]
-    eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], int(block["points"]))
+    eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], _scan_points(cfg, "sweep_scan"))
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
     sigma = sys_cfg.phase_noise.sigma_theta
     vm = spectra.two_mode_variance(eps_grid, eta, 0.0, "minus")
@@ -324,18 +347,19 @@ def _cmd_duan_simon(cfg, sys_cfg, outdir, seed):
 def _run_lock(cfg, sys_cfg):
     block = cfg["lock_sim"]
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
-    return locksim.run_closed_loop(
-        _loop_config(block["loop_s"]),
-        _loop_config(block["loop_i"]),
-        (
-            _disturbance(block["disturbance_s"]),
-            _disturbance(block["disturbance_i"]),
-            _disturbance(block["disturbance_pump"]),
-        ),
-        fields,
-        duration=block["duration"],
-        rate=block["rate"],
-    )
+    with _rejected_as_config("lock_sim settings"):
+        return locksim.run_closed_loop(
+            _loop_config(block["loop_s"]),
+            _loop_config(block["loop_i"]),
+            (
+                _disturbance(block["disturbance_s"]),
+                _disturbance(block["disturbance_i"]),
+                _disturbance(block["disturbance_pump"]),
+            ),
+            fields,
+            duration=block["duration"],
+            rate=block["rate"],
+        )
 
 
 def _cmd_lock_sim(cfg, sys_cfg, outdir, seed):
@@ -365,23 +389,24 @@ def _cmd_synth_epr(cfg, sys_cfg, outdir, seed):
     block = cfg["synth_epr"]
     gamma = sys_cfg.cavity.gamma_total
     residual = None
-    if block["sigma_theta"] > 0:
-        theta = locksim.synth_theta_process(
-            block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
+    with _rejected_as_config("synth_epr settings"):
+        if block["sigma_theta"] > 0:
+            theta = locksim.synth_theta_process(
+                block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
+            )
+            residual = (theta, theta)
+        q_s, q_i = locksim.synth_epr_photocurrents(
+            sys_cfg.pump.epsilon,
+            sys_cfg.detection.eta_s,
+            sys_cfg.detection.eta_i,
+            gamma,
+            residual,
+            block["duration"],
+            block["rate"],
+            seed,
+            dark_noise=block["dark_noise"],
         )
-        residual = (theta, theta)
-    q_s, q_i = locksim.synth_epr_photocurrents(
-        sys_cfg.pump.epsilon,
-        sys_cfg.detection.eta_s,
-        sys_cfg.detection.eta_i,
-        gamma,
-        residual,
-        block["duration"],
-        block["rate"],
-        seed,
-        dark_noise=block["dark_noise"],
-    )
-    shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
+        shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
     _write_csv(outdir / "photocurrents.csv", ["t", "q_s", "q_i"], zip(q_s.times, q_s.samples, q_i.samples))
     _write_csv(outdir / "shot_reference.csv", ["t", "shot"], zip(shot.times, shot.samples))
     return ["photocurrents.csv", "shot_reference.csv"]
@@ -411,10 +436,13 @@ def _cmd_psd(cfg, sys_cfg, outdir, seed, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 2:
         raise ConfigError("psd input needs a time column and a value column")
+    if data.shape[0] < 2:
+        raise ConfigError("psd input needs at least two rows to fix the sample rate")
     t = data[:, 0]
     rate = 1.0 / float(np.mean(np.diff(t)))
-    series = locksim.TimeSeries(sample_rate=rate, samples=data[:, 1], label="input")
-    psd = estimation.welch_psd(series)
+    with _rejected_as_config(f"psd input {input_path}"):
+        series = locksim.TimeSeries(sample_rate=rate, samples=data[:, 1], label="input")
+        psd = estimation.welch_psd(series)
     _write_csv(outdir / "psd.csv", ["f", "density"], zip(psd.frequencies, psd.densities))
     return ["psd.csv"]
 
@@ -510,8 +538,9 @@ def _fig4_dataset(cfg, sys_cfg, seed) -> estimation.SqueezingDataset:
         shot = locksim.shot_noise_reference(duration, rate, run_seed + 2)
         minus = locksim.TimeSeries(rate, (q_s.samples - q_i.samples) / np.sqrt(2.0))
         plus = locksim.TimeSeries(rate, (q_s.samples + q_i.samples) / np.sqrt(2.0))
-        vm = locksim.band_rms(minus, f_lo, f_hi, shot)
-        vp = locksim.band_rms(plus, f_lo, f_hi, shot)
+        shot_power = locksim.band_power(shot, f_lo, f_hi)
+        vm = locksim.band_rms(minus, f_lo, f_hi, shot_power)
+        vp = locksim.band_rms(plus, f_lo, f_hi, shot_power)
         # Relative band-power scatter of the Welch estimate: one over the
         # square root of (averaged segments x frequency bins in band).
         nperseg = estimation.default_segment_length(int(duration * rate))
@@ -545,7 +574,7 @@ def _cmd_reproduce_fig4(cfg, sys_cfg, outdir, seed):
 
 def _cmd_reproduce_fig5(cfg, sys_cfg, outdir, seed):
     block = cfg["reproduce_fig5"]
-    f = np.linspace(block["f_lo"], block["f_hi"], int(block["points"]))
+    f = np.linspace(block["f_lo"], block["f_hi"], _scan_points(cfg, "reproduce_fig5"))
     _write_spectra(outdir / "fig5_spectra.csv", sys_cfg, f / sys_cfg.cavity.gamma_total, f_hz=f)
     return ["fig5_spectra.csv"]
 

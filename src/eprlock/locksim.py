@@ -86,11 +86,16 @@ class LockRunResult:
             raise ValueError("common_mode_theta must be the pointwise arm average")
 
 
-def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> TimeSeries:
-    """Seeded disturbance record; bit-reproducible for a fixed seed."""
+def _sample_count(duration: float, rate: float) -> int:
     n = int(round(duration * rate))
     if n < 2:
         raise ValueError("duration*rate must be at least 2 samples")
+    return n
+
+
+def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> TimeSeries:
+    """Seeded disturbance record; bit-reproducible for a fixed seed."""
+    n = _sample_count(duration, rate)
     dt = 1.0 / rate
     rng = np.random.default_rng(spec.rng_seed)
     out = np.zeros(n)
@@ -234,7 +239,7 @@ def synth_theta_process(
     sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int
 ) -> TimeSeries:
     """Stationary low-pass Gaussian phase process with exact RMS ``sigma``."""
-    n = int(round(duration * rate))
+    n = _sample_count(duration, rate)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n)
     alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
@@ -269,7 +274,7 @@ def synth_epr_photocurrents(
     """
     if not 0.0 <= epsilon < 1.0:
         raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
-    n = int(round(duration * rate))
+    n = _sample_count(duration, rate)
     rng = np.random.default_rng(rng_seed)
     q_minus = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "minus")
     q_plus = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "plus")
@@ -299,23 +304,31 @@ def synth_epr_photocurrents(
 
 def shot_noise_reference(duration: float, rate: float, rng_seed: int) -> TimeSeries:
     """Unit-variance white record used as the shot-noise normalization."""
-    n = int(round(duration * rate))
+    n = _sample_count(duration, rate)
     rng = np.random.default_rng(rng_seed)
     return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n), label="shot-noise units")
 
 
-def band_rms(
-    series: TimeSeries, f_lo: float, f_hi: float, shot_reference: TimeSeries
-) -> float:
-    """Band-integrated PSD of ``series`` normalized to the shot reference.
-
-    Returns a variance in shot-noise units (the squared normalized RMS).
-    """
+def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
+    """RMS of ``series`` in [f_lo, f_hi] from its Welch PSD."""
     nyquist = series.sample_rate / 2.0
     if not 0.0 <= f_lo < f_hi <= nyquist:
         raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={nyquist}]")
-    if shot_reference.sample_rate != series.sample_rate:
-        raise ValueError("shot reference must share the series sample rate")
-    num = integrate_psd(welch_psd(series), f_lo, f_hi)
-    den = integrate_psd(welch_psd(shot_reference), f_lo, f_hi)
-    return (num / den) ** 2
+    return integrate_psd(welch_psd(series), f_lo, f_hi)
+
+
+def band_rms(
+    series: TimeSeries, f_lo: float, f_hi: float, shot_reference: TimeSeries | float
+) -> float:
+    """Band-integrated PSD of ``series`` normalized to the shot reference.
+
+    ``shot_reference`` is the shot-noise record, or its ``band_power`` over
+    the same band when several series share one reference. Returns a
+    variance in shot-noise units (the squared normalized RMS).
+    """
+    if isinstance(shot_reference, TimeSeries):
+        if shot_reference.sample_rate != series.sample_rate:
+            raise ValueError("shot reference must share the series sample rate")
+        shot_reference = band_power(shot_reference, f_lo, f_hi)
+    num = band_power(series, f_lo, f_hi)
+    return (num / shot_reference) ** 2

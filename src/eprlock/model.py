@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,12 @@ def _require_finite(name: str, *values) -> None:
             raise ValueError(f"{name} must be finite, got {v}")
 
 
+def _require_finite_fields(obj) -> None:
+    """Reject a NaN or infinite value in any field of a scalar-field dataclass."""
+    for f in fields(obj):
+        _require_finite(f.name, getattr(obj, f.name))
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Uniformly sampled real-valued record."""
@@ -65,6 +71,7 @@ class TimeSeries:
     label: str = ""
 
     def __post_init__(self):
+        _require_finite("sample_rate", self.sample_rate)
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
@@ -90,6 +97,7 @@ class FrequencyPlan:
     omega_cl_offset: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("lambda_s", "lambda_i", "lambda_p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -123,11 +131,11 @@ class CavityParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.gamma_in < 0 or self.gamma_out < 0 or self.mu < 0:
             raise ValueError("decay rates must be non-negative")
         if self.gamma_total <= 0:
             raise ValueError("total decay rate must be positive")
-        _require_finite("delta", self.delta)
 
     @property
     def gamma_total(self) -> float:
@@ -146,9 +154,9 @@ class PumpParams:
     phi_p: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        _require_finite("phi_p", self.phi_p)
 
     @property
     def below_threshold(self) -> bool:
@@ -163,9 +171,9 @@ class SeedParams:
     seed_phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.alpha_cl < 0:
             raise ValueError("alpha_cl must be non-negative")
-        _require_finite("seed_phase", self.seed_phase)
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,7 @@ class DetectionParams:
     g_weight: float = 1.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         for name in ("eta_s", "eta_i"):
             eta = getattr(self, name)
             if not 0.0 <= eta <= 1.0:
@@ -196,6 +205,7 @@ class PhaseNoiseSpec:
     cov_si: float = 0.0
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.sigma_s < 0 or self.sigma_i < 0:
             raise ValueError("sigma must be non-negative")
         if abs(self.cov_si) > self.sigma_s * self.sigma_i + 1e-15:

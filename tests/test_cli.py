@@ -81,6 +81,37 @@ class TestExitCodes:
         assert "energy conservation" in capsys.readouterr().err
 
 
+class TestRejectedSettings:
+    """Inputs that a library call rejects end as a config error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["integrate", "--set", "integrate.dt_over_gamma=1"],
+            ["lock-sim", "--set", "lock_sim.rate=1000"],
+            ["synth-epr", "--set", "synth_epr.duration=0"],
+            ["psd", "--input", "{one_row}"],
+            ["psd", "--input", "{two_rows}"],
+            ["spectra", "--set", "spectra_scan.points=0"],
+            ["sweep", "--set", "sweep_scan.points=0"],
+            ["reproduce", "fig5", "--set", "reproduce_fig5.points=-3"],
+            ["spectra", "--set", "spectra_scan.points=2.5"],
+        ],
+        ids=lambda args: " ".join(args),
+    )
+    def test_exit_2_with_one_json_line(self, tmp_path, capsys, args):
+        tables = {"one_row": "t,value\n0.0,1.0\n", "two_rows": "t,value\n0.0,1.0\n0.1,2.0\n"}
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        args = [a.format(**{k: str(tmp_path / f"{k}.csv") for k in tables}) for a in args]
+        out = tmp_path / "run"
+        assert cli.main(args + ["--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+        assert not (out / "manifest.json").exists()
+
+
 class TestSteadyStateCommand:
     def test_outputs_and_manifest(self, tmp_path):
         out = tmp_path / "run"

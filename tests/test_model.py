@@ -137,6 +137,32 @@ class TestPhaseNoiseSpec:
             PhaseNoiseSpec(sigma_s=0.01, sigma_i=0.01, cov_si=2e-4)
 
 
+class TestNonFiniteFieldsRejected:
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (PumpParams, {"epsilon": math.nan}),
+            (PumpParams, {"epsilon": 0.5, "phi_p": math.inf}),
+            (CavityParams, {"gamma_in": math.nan, "gamma_out": 0.5}),
+            (CavityParams, {"gamma_in": 0.5, "gamma_out": 0.5, "mu": math.inf}),
+            (SeedParams, {"alpha_cl": math.nan}),
+            (DetectionParams, {"eta_s": 0.9, "eta_i": 0.9, "theta_ref_i": math.nan}),
+            (PhaseNoiseSpec, {"sigma_s": 0.01, "sigma_i": math.inf}),
+            (FrequencyPlan, {"lambda_s": 1e-6, "lambda_i": 1e-6, "lambda_p": 5e-7, "omega_cl_offset": math.nan}),
+        ],
+    )
+    def test_nan_and_inf_rejected(self, cls, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            cls(**kwargs)
+
+    def test_config_block_with_nan_is_config_error(self):
+        from eprlock.cli import DEFAULT_CONFIG
+
+        raw = {**DEFAULT_CONFIG, "pump": {"epsilon": math.nan}}
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(raw)
+
+
 class TestComplexPair:
     def test_round_trip(self):
         z = 1.25 - 0.5j

@@ -1,10 +1,15 @@
 """Unit tests for the seeded parametric-oscillator steady state and dynamics."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eprlock import kernels
 from eprlock.model import AboveThresholdError, CavityParams, PhysicsDomainError, PumpParams, SeedParams, wrap_phase
 from eprlock import nopo
 
@@ -173,3 +178,99 @@ class TestThresholdGuards:
         for fn in (nopo.steady_state_linear_solve, nopo.steady_state_closed_form):
             with pytest.raises(AboveThresholdError):
                 fn(_symmetric_cavity(), PumpParams(epsilon=1.0), SeedParams(alpha_cl=1.0))
+
+
+def _reference_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
+    """Per-step RK4 on the cavity equations, the kernel's reference."""
+    cs = gamma - 1j * delta
+    ci = gamma + 1j * delta
+    alpha_s = np.empty(n_steps + 1, np.complex128)
+    alpha_i = np.empty(n_steps + 1, np.complex128)
+    alpha_s[0] = a_s0
+    alpha_i[0] = a_i0
+    s = a_s0 + 0j
+    i_ = a_i0 + 0j
+    for k in range(n_steps):
+        k1s = -cs * s + g * i_.conjugate() + drive
+        k1i = -ci * i_ + g * s.conjugate()
+        s2 = s + 0.5 * dt * k1s
+        i2 = i_ + 0.5 * dt * k1i
+        k2s = -cs * s2 + g * i2.conjugate() + drive
+        k2i = -ci * i2 + g * s2.conjugate()
+        s3 = s + 0.5 * dt * k2s
+        i3 = i_ + 0.5 * dt * k2i
+        k3s = -cs * s3 + g * i3.conjugate() + drive
+        k3i = -ci * i3 + g * s3.conjugate()
+        s4 = s + dt * k3s
+        i4 = i_ + dt * k3i
+        k4s = -cs * s4 + g * i4.conjugate() + drive
+        k4i = -ci * i4 + g * s4.conjugate()
+        s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
+        i_ = i_ + dt * (k1i + 2.0 * k2i + 2.0 * k3i + k4i) / 6.0
+        alpha_s[k + 1] = s
+        alpha_i[k + 1] = i_
+        if abs(s) > limit or abs(i_) > limit:
+            return alpha_s, alpha_i, k + 1
+    return alpha_s, alpha_i, -1
+
+
+def _max_rel_gap(got, ref, upto):
+    scale = max(np.max(np.abs(ref[0][:upto])), np.max(np.abs(ref[1][:upto])))
+    return max(np.max(np.abs(got[i][:upto] - ref[i][:upto])) for i in (0, 1)) / scale
+
+
+class TestCavityRk4Kernel:
+    """The doubling kernel against the per-step loop it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        epsilon=st.floats(0.0, 0.99),
+        delta_norm=st.floats(-3.0, 3.0),
+        phi_p=st.floats(-math.pi, math.pi),
+        seed_phase=st.floats(-math.pi, math.pi),
+        dt_gamma=st.floats(1e-3, 0.1),
+        n_steps=st.integers(1, 5000),
+        start=st.sampled_from([(0j, 0j), (0.3 - 0.2j, -0.1 + 0.4j)]),
+    )
+    def test_matches_per_step_loop(self, epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
+        gamma = 2.0
+        args = (
+            *start,
+            epsilon * gamma * cmath.exp(1j * phi_p),
+            gamma,
+            delta_norm * gamma,
+            math.sqrt(2.0) * cmath.exp(1j * seed_phase),
+            dt_gamma / gamma,
+            n_steps,
+            1e6,
+        )
+        got = kernels.cavity_rk4(*args)
+        ref = _reference_rk4(*args)
+        assert got[0].shape == got[1].shape == (n_steps + 1,)
+        assert got[2] == ref[2] == -1
+        assert _max_rel_gap(got, ref, n_steps + 1) <= 1e-12
+
+    def test_defective_step_map(self):
+        # |g| = |delta|: the drift matrix (and so the step map) is not diagonalizable.
+        args = (0j, 0j, 0.7, 1.0, 0.7, 1.0, 0.05, 3000, 1e6)
+        got = kernels.cavity_rk4(*args)
+        ref = _reference_rk4(*args)
+        assert got[2] == ref[2] == -1
+        assert _max_rel_gap(got, ref, 3001) <= 1e-12
+
+    @pytest.mark.parametrize("epsilon", [1.2, 1.5, 3.0])
+    def test_above_threshold_first_exceedance(self, epsilon):
+        args = (0j, 0j, epsilon, 1.0, 0.0, 1.0, 0.05, 4000, 1e6)
+        got = kernels.cavity_rk4(*args)
+        ref = _reference_rk4(*args)
+        assert ref[2] > 0
+        assert got[2] == ref[2]
+        assert _max_rel_gap(got, ref, ref[2] + 1) <= 1e-12
+
+    def test_overflow_raises_no_warning(self):
+        # Long enough above threshold that the tail overflows to inf/nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha_s, _, diverged = kernels.cavity_rk4(0j, 0j, 3.0, 1.0, 0.0, 1.0, 0.05, 50000, 1e6)
+        assert 0 < diverged < alpha_s.size
+        assert not np.all(np.isfinite(alpha_s))
