@@ -3,14 +3,15 @@
 Every run reads a JSON configuration (built-in defaults, optionally merged
 with a user file and ``--set`` dot-path overrides), executes one
 subcommand, and writes its artifacts plus a manifest recording the config
-hash, seed and tool version. Exit codes: 0 success, 2 config error,
-3 physics domain error, 4 numerical failure.
+hash, seed and tool version. Exit codes: 0 success, 2 config error (a
+config that does not match the shape of DEFAULT_CONFIG, or a value or input
+that a library call rejects with a plain ValueError), 3 physics domain
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import csv
 import hashlib
@@ -34,22 +35,11 @@ from .model import (
 )
 
 DEFAULT_CONFIG: dict = {
-    "frequency_plan": {
-        "lambda_s": 1064e-9,
-        "lambda_i": 852e-9,
-        "lambda_p": 473e-9,
-        "omega_cl_offset": 3e6,
-    },
+    "frequency_plan": {"lambda_s": 1064e-9, "lambda_i": 852e-9, "lambda_p": 473e-9},
     "cavity": {"gamma_in": 2e6, "gamma_out": 12e6, "mu": 1e6, "delta": 0.0},
     "pump": {"epsilon": 0.8, "phi_p": 0.0},
     "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
-    "detection": {
-        "eta_s": 0.89,
-        "eta_i": 0.89,
-        "theta_ref_s": 0.0,
-        "theta_ref_i": 0.0,
-        "g_weight": 1.0,
-    },
+    "detection": {"eta_s": 0.89, "eta_i": 0.89},
     "phase_noise": {"sigma_s": 0.01414213562373095, "sigma_i": 0.01414213562373095, "cov_si": 0.0},
     "run": {"rng_seed": 12345},
     "integrate": {"t_end_over_gamma": 20.0, "dt_over_gamma": 0.05},
@@ -65,8 +55,6 @@ DEFAULT_CONFIG: dict = {
             "actuator_range": 20.0,
             "actuator_resonance": 2e4,
             "actuator_q": 10.0,
-            "theta_ref": 0.0,
-            "beat_sign": 1,
         },
         "loop_i": {
             "kp": 0.01,
@@ -75,8 +63,6 @@ DEFAULT_CONFIG: dict = {
             "actuator_range": 20.0,
             "actuator_resonance": 2e4,
             "actuator_q": 10.0,
-            "theta_ref": 0.0,
-            "beat_sign": -1,
         },
         "disturbance_s": {
             "random_walk_diffusion": 1.5,
@@ -103,7 +89,6 @@ DEFAULT_CONFIG: dict = {
     "synth_epr": {
         "duration": 5.0,
         "rate": 2e5,
-        "band": [5e3, 1.5e4],
         "sigma_theta": 0.0,
         "theta_cutoff": 200.0,
         "dark_noise": False,
@@ -154,6 +139,40 @@ def _apply_override(cfg: dict, expr: str) -> None:
     node[keys[-1]] = value
 
 
+def _check_shape(value, default, path: str = "") -> None:
+    """Require ``value`` to have the JSON shape of ``default``.
+
+    Objects have exactly the default's keys, list items follow the default's
+    first item (the library checks items of an empty default list), a
+    str/bool/int stays its type and a float may be any finite number; a bool
+    never counts as a number. A mismatch is a ConfigError naming the path.
+    """
+    where = path or "config"
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {value!r}")
+        for key in {**default, **value}:
+            name = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ConfigError(f"unknown config key {name}")
+            if key not in value:
+                raise ConfigError(f"missing config key {name}")
+            _check_shape(value[key], default[key], name)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        for k, item in enumerate(value if default else ()):
+            _check_shape(item, default[0], f"{where}[{k}]")
+    elif isinstance(default, (str, bool, int)):
+        if type(value) is not type(default):
+            raise ConfigError(f"{where} must be a {type(default).__name__}, got {value!r}")
+    # abs(x) <= max is False for NaN, +-inf and ints too large for a float.
+    elif isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
 def load_config(config_path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if config_path is not None:
@@ -169,6 +188,7 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
         cfg = _deep_merge(cfg, user)
     for expr in overrides:
         _apply_override(cfg, expr)
+    _check_shape(cfg, DEFAULT_CONFIG)
     return cfg
 
 
@@ -199,39 +219,21 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@contextlib.contextmanager
-def _rejected_as_config(what: str):
-    """Report a value that a library call rejects (plain ValueError) as a config error.
-
-    PhysicsDomainError is a ValueError too, but keeps its own exit code.
-    """
-    try:
-        yield
-    except PhysicsDomainError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
-
-
 def _scan_points(cfg: dict, block: str) -> int:
     points = cfg[block]["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ConfigError(f"{block}.points must be a positive integer, got {points!r}")
+    if points < 1:
+        raise ConfigError(f"{block}.points must be at least 1, got {points}")
     return points
 
 
-def _loop_config(block: dict) -> locksim.LoopConfig:
-    try:
-        return locksim.LoopConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad loop config: {exc}") from exc
-
-
-def _disturbance(block: dict) -> locksim.DisturbanceSpec:
-    try:
-        return locksim.DisturbanceSpec(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad disturbance config: {exc}") from exc
+def _sample_rate(t: np.ndarray) -> float:
+    """Mean sample rate of a strictly increasing time column (1.0 for one row)."""
+    if t.size < 2:
+        return 1.0
+    steps = np.diff(t)
+    if not np.all(steps > 0):
+        raise ConfigError("the time column must be strictly increasing")
+    return 1.0 / float(np.mean(steps))
 
 
 def _read_table(path: str) -> tuple[list[str], np.ndarray]:
@@ -250,6 +252,8 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
         raise ConfigError(f"non-numeric data in {path}: {exc}") from exc
     if data.size == 0:
         raise ConfigError(f"input {path} has no data rows")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"input {path} holds a NaN or infinite value")
     return header, data
 
 
@@ -272,14 +276,13 @@ def _cmd_steady_state(cfg, sys_cfg, outdir, seed):
 def _cmd_integrate(cfg, sys_cfg, outdir, seed):
     gamma = sys_cfg.cavity.gamma_total
     block = cfg["integrate"]
-    with _rejected_as_config("integrate settings"):
-        traj = nopo.integrate_dynamics(
-            sys_cfg.cavity,
-            sys_cfg.pump,
-            sys_cfg.seed,
-            t_end=block["t_end_over_gamma"] / gamma,
-            dt=block["dt_over_gamma"] / gamma,
-        )
+    traj = nopo.integrate_dynamics(
+        sys_cfg.cavity,
+        sys_cfg.pump,
+        sys_cfg.seed,
+        t_end=block["t_end_over_gamma"] / gamma,
+        dt=block["dt_over_gamma"] / gamma,
+    )
     rows = zip(traj.times, traj.alpha_s.real, traj.alpha_s.imag, traj.alpha_i.real, traj.alpha_i.imag)
     _write_csv(
         outdir / "trajectory.csv",
@@ -347,36 +350,27 @@ def _cmd_duan_simon(cfg, sys_cfg, outdir, seed):
 def _run_lock(cfg, sys_cfg):
     block = cfg["lock_sim"]
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
-    with _rejected_as_config("lock_sim settings"):
-        return locksim.run_closed_loop(
-            _loop_config(block["loop_s"]),
-            _loop_config(block["loop_i"]),
-            (
-                _disturbance(block["disturbance_s"]),
-                _disturbance(block["disturbance_i"]),
-                _disturbance(block["disturbance_pump"]),
-            ),
-            fields,
-            duration=block["duration"],
-            rate=block["rate"],
-        )
+    return locksim.run_closed_loop(
+        locksim.LoopConfig(**block["loop_s"]),
+        locksim.LoopConfig(**block["loop_i"]),
+        tuple(locksim.DisturbanceSpec(**block[f"disturbance_{arm}"]) for arm in ("s", "i", "pump")),
+        fields,
+        duration=block["duration"],
+        rate=block["rate"],
+    )
 
 
 def _cmd_lock_sim(cfg, sys_cfg, outdir, seed):
     result = _run_lock(cfg, sys_cfg)
     t = result.residual_theta_s.times
+    common = result.common_mode_theta.samples
     _write_csv(
         outdir / "lock_traces.csv",
         ["t", "theta_s", "theta_i", "theta_common"],
-        zip(
-            t,
-            result.residual_theta_s.samples,
-            result.residual_theta_i.samples,
-            result.common_mode_theta.samples,
-        ),
+        zip(t, result.residual_theta_s.samples, result.residual_theta_i.samples, common),
     )
     summary = {
-        "sigma_theta_rms": float(np.std(result.common_mode_theta.samples)),
+        "sigma_theta_rms": float(np.std(common)),
         "in_lock_fraction": result.in_lock_fraction,
         "saturation_count": int(result.saturation_events.size),
         "unstable": result.unstable,
@@ -389,24 +383,23 @@ def _cmd_synth_epr(cfg, sys_cfg, outdir, seed):
     block = cfg["synth_epr"]
     gamma = sys_cfg.cavity.gamma_total
     residual = None
-    with _rejected_as_config("synth_epr settings"):
-        if block["sigma_theta"] > 0:
-            theta = locksim.synth_theta_process(
-                block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
-            )
-            residual = (theta, theta)
-        q_s, q_i = locksim.synth_epr_photocurrents(
-            sys_cfg.pump.epsilon,
-            sys_cfg.detection.eta_s,
-            sys_cfg.detection.eta_i,
-            gamma,
-            residual,
-            block["duration"],
-            block["rate"],
-            seed,
-            dark_noise=block["dark_noise"],
+    if block["sigma_theta"] > 0:
+        theta = locksim.synth_theta_process(
+            block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
         )
-        shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
+        residual = (theta, theta)
+    q_s, q_i = locksim.synth_epr_photocurrents(
+        sys_cfg.pump.epsilon,
+        sys_cfg.detection.eta_s,
+        sys_cfg.detection.eta_i,
+        gamma,
+        residual,
+        block["duration"],
+        block["rate"],
+        seed,
+        dark_noise=block["dark_noise"],
+    )
+    shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
     _write_csv(outdir / "photocurrents.csv", ["t", "q_s", "q_i"], zip(q_s.times, q_s.samples, q_i.samples))
     _write_csv(outdir / "shot_reference.csv", ["t", "shot"], zip(shot.times, shot.samples))
     return ["photocurrents.csv", "shot_reference.csv"]
@@ -422,8 +415,7 @@ def _cmd_calibrate(cfg, sys_cfg, outdir, seed, input_path):
         phase_span = float(np.max(phase) - np.min(phase))
     sig_col = header.index("signal") if "signal" in header else len(header) - 1
     t_col = header.index("t") if "t" in header else 0
-    t = data[:, t_col]
-    rate = 1.0 / float(np.mean(np.diff(t))) if data.shape[0] > 1 else 1.0
+    rate = _sample_rate(data[:, t_col])
     scan = locksim.TimeSeries(sample_rate=rate, samples=data[:, sig_col], label="error signal")
     s_pp, beta = locksim.calibrate_error_signal(scan, phase_span)
     _write_json(outdir / "calibration.json", {"s_pp": s_pp, "beta": beta})
@@ -436,13 +428,8 @@ def _cmd_psd(cfg, sys_cfg, outdir, seed, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 2:
         raise ConfigError("psd input needs a time column and a value column")
-    if data.shape[0] < 2:
-        raise ConfigError("psd input needs at least two rows to fix the sample rate")
-    t = data[:, 0]
-    rate = 1.0 / float(np.mean(np.diff(t)))
-    with _rejected_as_config(f"psd input {input_path}"):
-        series = locksim.TimeSeries(sample_rate=rate, samples=data[:, 1], label="input")
-        psd = estimation.welch_psd(series)
+    series = locksim.TimeSeries(sample_rate=_sample_rate(data[:, 0]), samples=data[:, 1], label="input")
+    psd = estimation.welch_psd(series)
     _write_csv(outdir / "psd.csv", ["f", "density"], zip(psd.frequencies, psd.densities))
     return ["psd.csv"]
 
@@ -453,15 +440,12 @@ def _cmd_fit(cfg, sys_cfg, outdir, seed, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 4:
         raise ConfigError("fit input needs columns epsilon,var_minus,var_plus,uncert")
-    try:
-        dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
-    except ValueError as exc:
-        raise ConfigError(f"bad fit input {input_path}: {exc}") from exc
+    dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
     settings = cfg["fit_settings"]
     result = estimation.fit_phase_noise_model(
         dataset,
         mode=settings["mode"],
-        n_bootstrap=int(settings["n_bootstrap"]),
+        n_bootstrap=settings["n_bootstrap"],
         bootstrap_seed=seed,
     )
     _write_json(outdir / "fit.json", _fit_payload(result))
@@ -483,7 +467,8 @@ def _fit_payload(result: estimation.FitResult) -> dict:
 def _cmd_reproduce_fig3(cfg, sys_cfg, outdir, seed):
     result = _run_lock(cfg, sys_cfg)
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
-    rate = result.common_mode_theta.sample_rate
+    common = result.common_mode_theta
+    rate = common.sample_rate
 
     # Calibration chain: fringe scan -> beta -> calibrated common-mode trace.
     phase_scan = np.linspace(0.0, 2.0 * np.pi, 4096)
@@ -494,7 +479,7 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, outdir, seed):
     s_pp, beta = locksim.calibrate_error_signal(fringe, float(phase_scan[-1] - phase_scan[0]))
     raw = locksim.TimeSeries(
         sample_rate=rate,
-        samples=locksim.error_signal(result.common_mode_theta.samples, 1.0, amp, 0.0, 1),
+        samples=locksim.error_signal(common.samples, 1.0, amp, 0.0, 1),
         label="error signal",
     )
     theta_cal = estimation.apply_calibration(raw, beta)
@@ -507,7 +492,7 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, outdir, seed):
             "s_pp": s_pp,
             "beta": beta,
             "sigma_theta": sigma,
-            "sigma_theta_time_domain": float(np.std(result.common_mode_theta.samples)),
+            "sigma_theta_time_domain": float(np.std(common.samples)),
             "in_lock_fraction": result.in_lock_fraction,
         },
     )
@@ -562,7 +547,7 @@ def _cmd_reproduce_fig4(cfg, sys_cfg, outdir, seed):
     result = estimation.fit_phase_noise_model(
         dataset,
         mode=cfg["fit_settings"]["mode"],
-        n_bootstrap=int(block["n_bootstrap"]),
+        n_bootstrap=block["n_bootstrap"],
         bootstrap_seed=seed,
     )
     payload = _fit_payload(result)
@@ -626,8 +611,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cfg = load_config(args.config, args.overrides)
     if args.seed is not None:
-        cfg["run"]["rng_seed"] = int(args.seed)
-    seed = int(cfg["run"]["rng_seed"])
+        cfg["run"]["rng_seed"] = args.seed
+    seed = cfg["run"]["rng_seed"]
     sys_cfg = _system_config(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -664,6 +649,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         _emit_error("numerical", exc)
         return EXIT_NUMERICAL
+    except ValueError as exc:
+        # Any other value a library call rejects came from the config or input.
+        _emit_error("config", exc)
+        return EXIT_CONFIG
 
 
 def _emit_error(kind: str, exc: Exception) -> None:

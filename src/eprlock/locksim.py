@@ -42,6 +42,13 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.random_walk_diffusion < 0 or self.white_noise_density < 0:
             raise ValueError("noise densities must be non-negative")
+        for s in self.sinusoids:
+            if not (
+                isinstance(s, (list, tuple))
+                and len(s) == 3
+                and all(isinstance(x, (int, float)) and math.isfinite(x) for x in s)
+            ):
+                raise ValueError(f"each sinusoid must be three finite numbers (Hz, rad, rad), got {s!r}")
         object.__setattr__(
             self, "sinusoids", tuple(tuple(float(x) for x in s) for s in self.sinusoids)
         )
@@ -57,16 +64,12 @@ class LoopConfig:
     actuator_range: float = 20.0  # rad
     actuator_resonance: float = 2e4  # Hz
     actuator_q: float = 10.0
-    theta_ref: float = 0.0
-    beat_sign: int = 1
 
     def __post_init__(self):
         if self.lpf_cutoff <= 0 or self.actuator_range <= 0:
             raise ValueError("lpf_cutoff and actuator_range must be positive")
         if self.actuator_resonance <= 0 or self.actuator_q <= 0:
             raise ValueError("actuator parameters must be positive")
-        if self.beat_sign not in (1, -1):
-            raise ValueError("beat_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -75,15 +78,15 @@ class LockRunResult:
 
     residual_theta_s: TimeSeries
     residual_theta_i: TimeSeries
-    common_mode_theta: TimeSeries
     saturation_events: np.ndarray  # times (s)
     in_lock_fraction: float
     unstable: bool = False
 
-    def __post_init__(self):
-        expected = 0.5 * (self.residual_theta_s.samples + self.residual_theta_i.samples)
-        if not np.array_equal(expected, self.common_mode_theta.samples):
-            raise ValueError("common_mode_theta must be the pointwise arm average")
+    @property
+    def common_mode_theta(self) -> TimeSeries:
+        """Pointwise average of the two arm residuals."""
+        common = 0.5 * (self.residual_theta_s.samples + self.residual_theta_i.samples)
+        return TimeSeries(self.residual_theta_s.sample_rate, common, "rad")
 
 
 def _sample_count(duration: float, rate: float) -> int:
@@ -178,7 +181,6 @@ def run_closed_loop(
     res_s, sat_s = _run_arm(loop_s, d_s, rate, amp_s)
     res_i, sat_i = _run_arm(loop_i, d_i_total, rate, amp_i)
 
-    common = 0.5 * (res_s + res_i)
     t = np.arange(res_s.size) / rate
     sat_times = np.sort(np.concatenate([t[sat_s], t[sat_i]]))
     in_lock = float(
@@ -199,7 +201,6 @@ def run_closed_loop(
     return LockRunResult(
         residual_theta_s=TimeSeries(rate, res_s, "rad"),
         residual_theta_i=TimeSeries(rate, res_i, "rad"),
-        common_mode_theta=TimeSeries(rate, common, "rad"),
         saturation_events=sat_times,
         in_lock_fraction=in_lock,
         unstable=unstable,

@@ -89,20 +89,17 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class FrequencyPlan:
-    """Wavelengths of the three fields plus the coherent-lock offset (Hz)."""
+    """Wavelengths (m) of the signal, idler and pump fields."""
 
     lambda_s: float
     lambda_i: float
     lambda_p: float
-    omega_cl_offset: float
 
     def __post_init__(self):
         _require_finite_fields(self)
         for name in ("lambda_s", "lambda_i", "lambda_p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.omega_cl_offset <= 0:
-            raise ValueError("omega_cl_offset must be positive")
 
 
 def validate_frequency_plan(plan: FrequencyPlan) -> tuple[bool, str]:
@@ -178,13 +175,10 @@ class SeedParams:
 
 @dataclass(frozen=True)
 class DetectionParams:
-    """Homodyne efficiencies, electronic setpoint phases and combination weight."""
+    """Homodyne detection efficiencies of the signal and idler arms."""
 
     eta_s: float
     eta_i: float
-    theta_ref_s: float = 0.0
-    theta_ref_i: float = 0.0
-    g_weight: float = 1.0
 
     def __post_init__(self):
         _require_finite_fields(self)
@@ -192,8 +186,6 @@ class DetectionParams:
             eta = getattr(self, name)
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.g_weight <= 0:
-            raise ValueError("g_weight must be positive")
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,12 @@ def drift_eigenvalues(cavity: CavityParams, pump: PumpParams) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
+def _growth_diagnostic(cavity: CavityParams, pump: PumpParams) -> str:
+    """Largest drift eigenvalue real part, quoted in above-threshold errors."""
+    rate = float(np.max(drift_eigenvalues(cavity, pump).real))
+    return f"largest drift eigenvalue real part {rate:.3e} 1/s"
+
+
 def integrate_dynamics(
     cavity: CavityParams,
     pump: PumpParams,
@@ -183,12 +189,18 @@ def integrate_dynamics(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the classical equations of motion.
 
-    Raises AboveThresholdError if the amplitudes explode (pump at or above
-    threshold); the message then reports the unstable drift eigenvalue.
+    Raises AboveThresholdError for a pump at or above threshold, or if the
+    amplitudes explode; the message then reports the largest drift
+    eigenvalue.
     """
     gamma = cavity.gamma_total
-    if dt > 0.1 / gamma:
-        raise ValueError(f"dt = {dt} exceeds the stability margin 0.1/gamma = {0.1 / gamma}")
+    if not 0.0 < dt <= 0.1 / gamma:
+        raise ValueError(f"dt = {dt} outside (0, 0.1/gamma = {0.1 / gamma}]")
+    if pump.epsilon >= 1.0:
+        raise AboveThresholdError(
+            f"epsilon = {pump.epsilon} >= 1: the amplitudes grow without bound "
+            f"({_growth_diagnostic(cavity, pump)})"
+        )
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
     n_steps = int(round(t_end / dt))
@@ -207,11 +219,8 @@ def integrate_dynamics(
         _EXPLOSION_FACTOR * scale,
     )
     if diverged >= 0:
-        lam = drift_eigenvalues(cavity, pump)
-        rate = float(np.max(lam.real))
         raise AboveThresholdError(
-            f"trajectory diverged at t = {diverged * dt:.3e} s "
-            f"(largest drift eigenvalue real part {rate:.3e} 1/s)"
+            f"trajectory diverged at t = {diverged * dt:.3e} s ({_growth_diagnostic(cavity, pump)})"
         )
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, alpha_s=alpha_s, alpha_i=alpha_i)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .model import NumericalError, PhaseNoiseSpec, PhysicsDomainError
+from .model import NumericalError, PhysicsDomainError
 
 VARIANTS = ("corrected", "paper-literal")
 SIGNS = ("plus", "minus")
@@ -81,11 +81,6 @@ def phase_noise_variance(var_ideal, var_orthogonal, sigma_theta, mode: str = "sm
     else:
         w = 0.5 * (1.0 - math.exp(-2.0 * sigma**2))
     return var_ideal * (1.0 - w) + var_orthogonal * w
-
-
-def sigma_theta_common(spec: PhaseNoiseSpec) -> float:
-    """Common-mode phase-noise standard deviation of the two lock residuals."""
-    return spec.sigma_theta
 
 
 class DuanSimonResult(NamedTuple):

@@ -1,12 +1,19 @@
 """End-to-end tests of the command-line interface: config handling, artifacts,
 manifest bookkeeping, exit codes and reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprlock import cli
 from eprlock.model import ConfigError
@@ -57,6 +64,27 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             cli.load_config(str(bad), [])
 
+    def test_int_accepted_where_default_is_float(self):
+        assert cli.load_config(None, ["lock_sim.rate=200000"])["lock_sim"]["rate"] == 200000
+
+    @pytest.mark.parametrize(
+        "override, path",
+        [
+            ("synth_epr.duraton=5.0", "synth_epr.duraton"),
+            ("reproduce_fig4.epsilons=[0.1, NaN]", r"reproduce_fig4.epsilons\[1\]"),
+            ("lock_sim.disturbance_s.sinusoids=[[50, true, 0]]", r"disturbance_s.sinusoids\[0\]\[1\]"),
+        ],
+    )
+    def test_shape_error_names_the_path(self, override, path):
+        with pytest.raises(ConfigError, match=path):
+            cli.load_config(None, [override])
+
+    def test_file_with_unknown_key_rejected(self, tmp_path):
+        user = tmp_path / "cfg.json"
+        user.write_text(json.dumps({"detection": {"g_weight": 1.0}}))
+        with pytest.raises(ConfigError, match="detection.g_weight"):
+            cli.load_config(str(user), [])
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -73,6 +101,12 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "physics"
 
+    def test_integrate_above_threshold_is_3(self, tmp_path, capsys):
+        code = cli.main(["integrate", "--set", "pump.epsilon=1.2", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "eigenvalue" in json.loads(capsys.readouterr().err)["message"]
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
         code = cli.main(
             ["steady-state", "--set", "frequency_plan.lambda_p=500e-9", "--out", str(tmp_path / "o")]
@@ -82,7 +116,8 @@ class TestExitCodes:
 
 
 class TestRejectedSettings:
-    """Inputs that a library call rejects end as a config error, not a traceback."""
+    """Config values outside the defaults' shape, and inputs a library call
+    rejects, end as a config error, not a traceback."""
 
     @pytest.mark.parametrize(
         "args",
@@ -96,11 +131,37 @@ class TestRejectedSettings:
             ["sweep", "--set", "sweep_scan.points=0"],
             ["reproduce", "fig5", "--set", "reproduce_fig5.points=-3"],
             ["spectra", "--set", "spectra_scan.points=2.5"],
+            ["synth-epr", "--set", "synth_epr.duraton=1.0"],
+            ["lock-sim", "--set", "lock_sim.loop_s.theta_ref=0.0"],
+            ["steady-state", "--set", "detection.g_weight=1.0"],
+            ["integrate", "--set", "integrate=null"],
+            ["lock-sim", "--set", 'lock_sim.duration="x"'],
+            ["steady-state", "--set", 'run.rng_seed="a"'],
+            ["spectra", "--set", "pump.epsilon=true"],
+            ["spectra", "--set", "spectra_scan.omega_norm_max=NaN"],
+            ["sweep", "--set", "sweep_scan.epsilon_max=Infinity"],
+            ["fit", "--input", "{dataset}", "--set", "fit_settings.mode=bogus"],
+            ["fit", "--input", "{three_rows}"],
+            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.band=[0,2e6]"],
+            ["psd", "--input", "{constant_t}"],
+            ["calibrate", "--input", "{constant_t}"],
+            ["psd", "--input", "{nan_value}"],
+            ["calibrate", "--input", "{nan_value}"],
+            ["integrate", "--set", "integrate.dt_over_gamma=0"],
+            ["lock-sim", "--set", "lock_sim.disturbance_pump.sinusoids=[5]"],
         ],
         ids=lambda args: " ".join(args),
     )
     def test_exit_2_with_one_json_line(self, tmp_path, capsys, args):
-        tables = {"one_row": "t,value\n0.0,1.0\n", "two_rows": "t,value\n0.0,1.0\n0.1,2.0\n"}
+        dataset = "epsilon,var_minus,var_plus,uncert\n0.1,0.8,1.3,0.01\n0.3,0.5,2.5,0.01\n0.5,0.4,5.0,0.01\n"
+        tables = {
+            "one_row": "t,value\n0.0,1.0\n",
+            "two_rows": "t,value\n0.0,1.0\n0.1,2.0\n",
+            "constant_t": "t,value\n0.0,1.0\n0.0,2.0\n0.0,3.0\n",
+            "nan_value": "t,value\n" + "".join(f"{k},{'nan' if k == 5 else k % 3}\n" for k in range(2000)),
+            "three_rows": dataset,
+            "dataset": dataset + "0.7,0.3,12.0,0.01\n",
+        }
         for name, text in tables.items():
             (tmp_path / f"{name}.csv").write_text(text)
         args = [a.format(**{k: str(tmp_path / f"{k}.csv") for k in tables}) for a in args]
@@ -320,3 +381,43 @@ class TestReproducibility:
         ma.pop("timestamp")
         mb.pop("timestamp")
         assert ma == mb
+
+
+def _leaves(node, path=""):
+    if not isinstance(node, dict):
+        yield path
+        return
+    for key, sub in node.items():
+        yield from _leaves(sub, f"{path}.{key}" if path else key)
+
+
+_FAST_COMMANDS = [["steady-state"], ["integrate"], ["spectra"], ["sweep"], ["duan-simon"], ["reproduce", "fig5"]]
+_VALUES = ["null", '"x"', "true", "[]", "{}", "-1", "-0.5", "0", "0.5", "2", "1000", "NaN"]
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class TestConfigContract:
+    def test_default_config_has_70_leaves(self):
+        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 70
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        command=st.sampled_from(_FAST_COMMANDS),
+        leaf=st.sampled_from(sorted(_leaves(cli.DEFAULT_CONFIG))),
+        value=st.sampled_from(_VALUES),
+    )
+    def test_any_single_override_keeps_the_exit_contract(self, command, leaf, value):
+        """Exit 0/2/3/4 without raising; an error is one JSON line and no
+        manifest; a success writes no NaN or infinite value."""
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            out = Path(tmp) / "run"
+            code = cli.main(command + ["--set", f"{leaf}={value}", "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1
+                assert json.loads(lines[0])["error"] in ("config", "physics", "numerical")
+                assert not (out / "manifest.json").exists()
+            else:
+                for artifact in out.iterdir():
+                    assert not _NON_FINITE.search(artifact.read_text()), artifact.name

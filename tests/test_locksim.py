@@ -63,6 +63,11 @@ class TestSynthDisturbance:
         with pytest.raises(ValueError):
             locksim.synth_disturbance(locksim.DisturbanceSpec(), 1e-9, 10.0)
 
+    @pytest.mark.parametrize("sinusoids", [(5.0,), ((50.0, 0.1),), ((50.0, math.nan, 0.0),), (("a", 1.0, 0.0),)])
+    def test_sinusoid_must_be_three_finite_numbers(self, sinusoids):
+        with pytest.raises(ValueError, match="sinusoid"):
+            locksim.DisturbanceSpec(sinusoids=sinusoids)
+
 
 class TestErrorSignal:
     def test_sinusoidal_fringe(self):
@@ -117,7 +122,7 @@ class TestRunClosedLoop:
     def test_zero_disturbance_stays_locked(self):
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(beat_sign=-1), (quiet, quiet, quiet), FIELDS, 0.2, 2e5
+            _quiet_loop(), _quiet_loop(), (quiet, quiet, quiet), FIELDS, 0.2, 2e5
         )
         assert np.max(np.abs(result.common_mode_theta.samples)) < 1e-12
         assert result.in_lock_fraction == 1.0
@@ -128,7 +133,7 @@ class TestRunClosedLoop:
         drift = locksim.DisturbanceSpec(random_walk_diffusion=1.0, rng_seed=11)
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(beat_sign=-1), (drift, quiet, quiet), FIELDS, 1.0, 2e5
+            _quiet_loop(), _quiet_loop(), (drift, quiet, quiet), FIELDS, 1.0, 2e5
         )
         open_loop = locksim.synth_disturbance(drift, 1.0, 2e5)
         assert np.std(result.residual_theta_s.samples) < 0.05 * np.std(open_loop.samples)
@@ -138,7 +143,7 @@ class TestRunClosedLoop:
         quiet = locksim.DisturbanceSpec()
         pump = locksim.DisturbanceSpec(random_walk_diffusion=1.0, rng_seed=21)
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(beat_sign=-1), (quiet, quiet, pump), FIELDS, 0.5, 2e5
+            _quiet_loop(), _quiet_loop(), (quiet, quiet, pump), FIELDS, 0.5, 2e5
         )
         assert np.max(np.abs(result.residual_theta_s.samples)) < 1e-12
         assert np.std(result.residual_theta_i.samples) > 0
@@ -147,7 +152,7 @@ class TestRunClosedLoop:
         ramp = locksim.DisturbanceSpec(ramp_rate=15.0)
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(actuator_range=20.0), _quiet_loop(beat_sign=-1),
+            _quiet_loop(actuator_range=20.0), _quiet_loop(),
             (ramp, quiet, quiet), FIELDS, 2.0, 2e5,
         )
         assert result.saturation_events.size >= 1
@@ -157,16 +162,7 @@ class TestRunClosedLoop:
         quiet = locksim.DisturbanceSpec()
         with pytest.raises(ValueError, match="rate"):
             locksim.run_closed_loop(
-                _quiet_loop(), _quiet_loop(beat_sign=-1), (quiet, quiet, quiet), FIELDS, 0.1, 1e5
-            )
-
-    def test_common_mode_consistency_enforced(self):
-        ts = locksim.TimeSeries(1.0, np.zeros(4))
-        bad = locksim.TimeSeries(1.0, np.ones(4))
-        with pytest.raises(ValueError, match="common"):
-            locksim.LockRunResult(
-                residual_theta_s=ts, residual_theta_i=ts, common_mode_theta=bad,
-                saturation_events=np.array([]), in_lock_fraction=1.0,
+                _quiet_loop(), _quiet_loop(), (quiet, quiet, quiet), FIELDS, 0.1, 1e5
             )
 
 

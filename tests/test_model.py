@@ -60,25 +60,19 @@ class TestDb:
 
 class TestFrequencyPlan:
     def test_energy_conserving_plan_validates(self):
-        plan = FrequencyPlan(
-            lambda_s=1064e-9, lambda_i=852e-9, lambda_p=473e-9, omega_cl_offset=3e6
-        )
+        plan = FrequencyPlan(lambda_s=1064e-9, lambda_i=852e-9, lambda_p=473e-9)
         ok, msg = validate_frequency_plan(plan)
         assert ok
         assert "relative mismatch" in msg
 
     def test_violating_plan_fails(self):
-        plan = FrequencyPlan(
-            lambda_s=1064e-9, lambda_i=1064e-9, lambda_p=473e-9, omega_cl_offset=3e6
-        )
+        plan = FrequencyPlan(lambda_s=1064e-9, lambda_i=1064e-9, lambda_p=473e-9)
         ok, _ = validate_frequency_plan(plan)
         assert not ok
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError):
-            FrequencyPlan(lambda_s=0.0, lambda_i=852e-9, lambda_p=473e-9, omega_cl_offset=3e6)
-        with pytest.raises(ValueError):
-            FrequencyPlan(lambda_s=1064e-9, lambda_i=852e-9, lambda_p=473e-9, omega_cl_offset=0.0)
+            FrequencyPlan(lambda_s=0.0, lambda_i=852e-9, lambda_p=473e-9)
 
 
 class TestCavityParams:
@@ -119,8 +113,6 @@ class TestDetectionParams:
             DetectionParams(eta_s=1.1, eta_i=0.9)
         with pytest.raises(ValueError):
             DetectionParams(eta_s=0.9, eta_i=-0.1)
-        with pytest.raises(ValueError):
-            DetectionParams(eta_s=0.9, eta_i=0.9, g_weight=0.0)
 
 
 class TestPhaseNoiseSpec:
@@ -146,9 +138,9 @@ class TestNonFiniteFieldsRejected:
             (CavityParams, {"gamma_in": math.nan, "gamma_out": 0.5}),
             (CavityParams, {"gamma_in": 0.5, "gamma_out": 0.5, "mu": math.inf}),
             (SeedParams, {"alpha_cl": math.nan}),
-            (DetectionParams, {"eta_s": 0.9, "eta_i": 0.9, "theta_ref_i": math.nan}),
+            (DetectionParams, {"eta_s": 0.9, "eta_i": math.nan}),
             (PhaseNoiseSpec, {"sigma_s": 0.01, "sigma_i": math.inf}),
-            (FrequencyPlan, {"lambda_s": 1e-6, "lambda_i": 1e-6, "lambda_p": 5e-7, "omega_cl_offset": math.nan}),
+            (FrequencyPlan, {"lambda_s": 1e-6, "lambda_i": 1e-6, "lambda_p": math.nan}),
         ],
     )
     def test_nan_and_inf_rejected(self, cls, kwargs):
@@ -175,12 +167,7 @@ class TestComplexPair:
 
 def _valid_raw():
     return {
-        "frequency_plan": {
-            "lambda_s": 1064e-9,
-            "lambda_i": 852e-9,
-            "lambda_p": 473e-9,
-            "omega_cl_offset": 3e6,
-        },
+        "frequency_plan": {"lambda_s": 1064e-9, "lambda_i": 852e-9, "lambda_p": 473e-9},
         "cavity": {"gamma_in": 2e6, "gamma_out": 12e6, "mu": 1e6, "delta": 0.0},
         "pump": {"epsilon": 0.8, "phi_p": 0.0},
         "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
@@ -194,7 +181,7 @@ class TestConfigFromDict:
         cfg = config_from_dict(_valid_raw())
         assert cfg.cavity.gamma_total == pytest.approx(15e6)
         assert cfg.pump.epsilon == 0.8
-        assert cfg.detection.g_weight == 1.0
+        assert cfg.detection.eta_s == 0.89
 
     def test_missing_block(self):
         raw = _valid_raw()

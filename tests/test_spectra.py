@@ -131,7 +131,7 @@ class TestPhaseNoiseVariance:
 class TestSigmaThetaCommon:
     def test_delegates_to_spec(self):
         spec = PhaseNoiseSpec(sigma_s=0.014, sigma_i=0.014, cov_si=0.0)
-        assert spectra.sigma_theta_common(spec) == pytest.approx(0.014 / math.sqrt(2.0))
+        assert spec.sigma_theta == pytest.approx(0.014 / math.sqrt(2.0))
 
 
 class TestDuanSimon:
