@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -200,18 +201,21 @@ def _system_config(cfg: dict) -> SystemConfig:
     return sys_cfg
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write(path: Path, content) -> None:
+    """Write a dict as strict JSON, or a (header, columns) pair as CSV rows."""
+    if isinstance(content, dict):
+        try:
+            text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"{path.name} would hold a non-finite value") from exc
+        path.write_text(text + "\n")
+        return
+    header, columns = content
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
+        for row in zip(*columns):
             writer.writerow([repr(float(x)) for x in row])
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -236,7 +240,9 @@ def _sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.mean(steps))
 
 
-def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
+    if path is None:
+        raise ConfigError("this subcommand requires --input <csv file>")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -258,9 +264,12 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
 
 
 # --- subcommand handlers -------------------------------------------------
+#
+# Each handler maps (cfg, sys_cfg, input_path) to its artifacts, a dict
+# {file name: content} in manifest order; ``_write`` defines the contents.
 
 
-def _cmd_steady_state(cfg, sys_cfg, outdir, seed):
+def _cmd_steady_state(cfg, sys_cfg, input_path):
     state = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     payload = {
         "a_cls": complex_to_pair(state.a_cls),
@@ -269,11 +278,10 @@ def _cmd_steady_state(cfg, sys_cfg, outdir, seed):
         "phi_cli": state.phi_cli,
         "gain": nopo.parametric_gain(sys_cfg.pump.epsilon),
     }
-    _write_json(outdir / "steady_state.json", payload)
-    return ["steady_state.json"]
+    return {"steady_state.json": payload}
 
 
-def _cmd_integrate(cfg, sys_cfg, outdir, seed):
+def _cmd_integrate(cfg, sys_cfg, input_path):
     gamma = sys_cfg.cavity.gamma_total
     block = cfg["integrate"]
     traj = nopo.integrate_dynamics(
@@ -283,16 +291,12 @@ def _cmd_integrate(cfg, sys_cfg, outdir, seed):
         t_end=block["t_end_over_gamma"] / gamma,
         dt=block["dt_over_gamma"] / gamma,
     )
-    rows = zip(traj.times, traj.alpha_s.real, traj.alpha_s.imag, traj.alpha_i.real, traj.alpha_i.imag)
-    _write_csv(
-        outdir / "trajectory.csv",
-        ["t", "alpha_s_re", "alpha_s_im", "alpha_i_re", "alpha_i_im"],
-        rows,
-    )
-    return ["trajectory.csv"]
+    header = ["t", "alpha_s_re", "alpha_s_im", "alpha_i_re", "alpha_i_im"]
+    columns = [traj.times, traj.alpha_s.real, traj.alpha_s.imag, traj.alpha_i.real, traj.alpha_i.imag]
+    return {"trajectory.csv": (header, columns)}
 
 
-def _write_spectra(path: Path, sys_cfg, omega, f_hz=None) -> None:
+def _spectra_table(sys_cfg, omega, f_hz=None):
     """Squeezing/anti-squeezing spectra on ``omega``, with an optional leading f_hz column."""
     eps = sys_cfg.pump.epsilon
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
@@ -303,31 +307,27 @@ def _write_spectra(path: Path, sys_cfg, omega, f_hz=None) -> None:
     if f_hz is not None:
         header.insert(0, "f_hz")
         columns.insert(0, f_hz)
-    _write_csv(path, header, zip(*columns))
+    return header, columns
 
 
-def _cmd_spectra(cfg, sys_cfg, outdir, seed):
-    block = cfg["spectra_scan"]
-    omega = np.linspace(0.0, block["omega_norm_max"], _scan_points(cfg, "spectra_scan"))
-    _write_spectra(outdir / "spectra.csv", sys_cfg, omega)
-    return ["spectra.csv"]
+def _cmd_spectra(cfg, sys_cfg, input_path):
+    omega = np.linspace(0.0, cfg["spectra_scan"]["omega_norm_max"], _scan_points(cfg, "spectra_scan"))
+    return {"spectra.csv": _spectra_table(sys_cfg, omega)}
 
 
-def _cmd_sweep(cfg, sys_cfg, outdir, seed):
+def _cmd_sweep(cfg, sys_cfg, input_path):
     block = cfg["sweep_scan"]
     eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], _scan_points(cfg, "sweep_scan"))
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
     sigma = sys_cfg.phase_noise.sigma_theta
     vm = spectra.two_mode_variance(eps_grid, eta, 0.0, "minus")
     vp = spectra.two_mode_variance(eps_grid, eta, 0.0, "plus")
-    rows = zip(
-        eps_grid, spectra.phase_noise_variance(vm, vp, sigma), spectra.phase_noise_variance(vp, vm, sigma)
-    )
-    _write_csv(outdir / "sweep.csv", ["epsilon", "var_minus_pn", "var_plus_pn"], rows)
-    return ["sweep.csv"]
+    pn_minus = spectra.phase_noise_variance(vm, vp, sigma)
+    pn_plus = spectra.phase_noise_variance(vp, vm, sigma)
+    return {"sweep.csv": (["epsilon", "var_minus_pn", "var_plus_pn"], [eps_grid, pn_minus, pn_plus])}
 
 
-def _cmd_duan_simon(cfg, sys_cfg, outdir, seed):
+def _cmd_duan_simon(cfg, sys_cfg, input_path):
     eps = sys_cfg.pump.epsilon
     eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
     vm = spectra.two_mode_variance(eps, eta, 0.0, "minus")
@@ -343,8 +343,7 @@ def _cmd_duan_simon(cfg, sys_cfg, outdir, seed):
         "entangled": result.entangled,
         "sum_with_phase_noise": sum_pn,
     }
-    _write_json(outdir / "duan_simon.json", payload)
-    return ["duan_simon.json"]
+    return {"duan_simon.json": payload}
 
 
 def _run_lock(cfg, sys_cfg):
@@ -360,27 +359,28 @@ def _run_lock(cfg, sys_cfg):
     )
 
 
-def _cmd_lock_sim(cfg, sys_cfg, outdir, seed):
+def _cmd_lock_sim(cfg, sys_cfg, input_path):
     result = _run_lock(cfg, sys_cfg)
-    t = result.residual_theta_s.times
+    theta_s, theta_i = result.residual_theta_s, result.residual_theta_i
     common = result.common_mode_theta.samples
-    _write_csv(
-        outdir / "lock_traces.csv",
-        ["t", "theta_s", "theta_i", "theta_common"],
-        zip(t, result.residual_theta_s.samples, result.residual_theta_i.samples, common),
-    )
     summary = {
         "sigma_theta_rms": float(np.std(common)),
         "in_lock_fraction": result.in_lock_fraction,
         "saturation_count": int(result.saturation_events.size),
         "unstable": result.unstable,
     }
-    _write_json(outdir / "lock_summary.json", summary)
-    return ["lock_traces.csv", "lock_summary.json"]
+    return {
+        "lock_traces.csv": (
+            ["t", "theta_s", "theta_i", "theta_common"],
+            [theta_s.times, theta_s.samples, theta_i.samples, common],
+        ),
+        "lock_summary.json": summary,
+    }
 
 
-def _cmd_synth_epr(cfg, sys_cfg, outdir, seed):
+def _cmd_synth_epr(cfg, sys_cfg, input_path):
     block = cfg["synth_epr"]
+    seed = cfg["run"]["rng_seed"]
     gamma = sys_cfg.cavity.gamma_total
     residual = None
     if block["sigma_theta"] > 0:
@@ -400,14 +400,13 @@ def _cmd_synth_epr(cfg, sys_cfg, outdir, seed):
         dark_noise=block["dark_noise"],
     )
     shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
-    _write_csv(outdir / "photocurrents.csv", ["t", "q_s", "q_i"], zip(q_s.times, q_s.samples, q_i.samples))
-    _write_csv(outdir / "shot_reference.csv", ["t", "shot"], zip(shot.times, shot.samples))
-    return ["photocurrents.csv", "shot_reference.csv"]
+    return {
+        "photocurrents.csv": (["t", "q_s", "q_i"], [q_s.times, q_s.samples, q_i.samples]),
+        "shot_reference.csv": (["t", "shot"], [shot.times, shot.samples]),
+    }
 
 
-def _cmd_calibrate(cfg, sys_cfg, outdir, seed, input_path):
-    if input_path is None:
-        raise ConfigError("calibrate requires --input <fringe csv>")
+def _cmd_calibrate(cfg, sys_cfg, input_path):
     header, data = _read_table(input_path)
     phase_span = None
     if "phase" in header:
@@ -418,25 +417,19 @@ def _cmd_calibrate(cfg, sys_cfg, outdir, seed, input_path):
     rate = _sample_rate(data[:, t_col])
     scan = locksim.TimeSeries(sample_rate=rate, samples=data[:, sig_col], label="error signal")
     s_pp, beta = locksim.calibrate_error_signal(scan, phase_span)
-    _write_json(outdir / "calibration.json", {"s_pp": s_pp, "beta": beta})
-    return ["calibration.json"]
+    return {"calibration.json": {"s_pp": s_pp, "beta": beta}}
 
 
-def _cmd_psd(cfg, sys_cfg, outdir, seed, input_path):
-    if input_path is None:
-        raise ConfigError("psd requires --input <trace csv>")
+def _cmd_psd(cfg, sys_cfg, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 2:
         raise ConfigError("psd input needs a time column and a value column")
     series = locksim.TimeSeries(sample_rate=_sample_rate(data[:, 0]), samples=data[:, 1], label="input")
     psd = estimation.welch_psd(series)
-    _write_csv(outdir / "psd.csv", ["f", "density"], zip(psd.frequencies, psd.densities))
-    return ["psd.csv"]
+    return {"psd.csv": (["f", "density"], [psd.frequencies, psd.densities])}
 
 
-def _cmd_fit(cfg, sys_cfg, outdir, seed, input_path):
-    if input_path is None:
-        raise ConfigError("fit requires --input <dataset csv>")
+def _cmd_fit(cfg, sys_cfg, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 4:
         raise ConfigError("fit input needs columns epsilon,var_minus,var_plus,uncert")
@@ -446,25 +439,12 @@ def _cmd_fit(cfg, sys_cfg, outdir, seed, input_path):
         dataset,
         mode=settings["mode"],
         n_bootstrap=settings["n_bootstrap"],
-        bootstrap_seed=seed,
+        bootstrap_seed=cfg["run"]["rng_seed"],
     )
-    _write_json(outdir / "fit.json", _fit_payload(result))
-    return ["fit.json"]
+    return {"fit.json": asdict(result)}
 
 
-def _fit_payload(result: estimation.FitResult) -> dict:
-    return {
-        "eta_hat": result.eta_hat,
-        "sigma_hat": result.sigma_hat,
-        "eta_err": result.eta_err,
-        "sigma_err": result.sigma_err,
-        "residual_norm": result.residual_norm,
-        "converged": result.converged,
-        "at_boundary": result.at_boundary,
-    }
-
-
-def _cmd_reproduce_fig3(cfg, sys_cfg, outdir, seed):
+def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
     result = _run_lock(cfg, sys_cfg)
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     common = result.common_mode_theta
@@ -485,22 +465,22 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, outdir, seed):
     theta_cal = estimation.apply_calibration(raw, beta)
     psd = estimation.welch_psd(theta_cal)
     sigma = estimation.integrate_psd(psd, psd.frequencies[1], psd.frequencies[-1])
-    _write_csv(outdir / "fig3_theta_psd.csv", ["f", "density"], zip(psd.frequencies, psd.densities))
-    _write_json(
-        outdir / "fig3_summary.json",
-        {
-            "s_pp": s_pp,
-            "beta": beta,
-            "sigma_theta": sigma,
-            "sigma_theta_time_domain": float(np.std(common.samples)),
-            "in_lock_fraction": result.in_lock_fraction,
-        },
-    )
-    return ["fig3_theta_psd.csv", "fig3_summary.json"]
+    summary = {
+        "s_pp": s_pp,
+        "beta": beta,
+        "sigma_theta": sigma,
+        "sigma_theta_time_domain": float(np.std(common.samples)),
+        "in_lock_fraction": result.in_lock_fraction,
+    }
+    return {
+        "fig3_theta_psd.csv": (["f", "density"], [psd.frequencies, psd.densities]),
+        "fig3_summary.json": summary,
+    }
 
 
-def _fig4_dataset(cfg, sys_cfg, seed) -> estimation.SqueezingDataset:
+def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
     block = cfg["reproduce_fig4"]
+    seed = cfg["run"]["rng_seed"]
     gamma = sys_cfg.cavity.gamma_total
     duration, rate = block["duration"], block["rate"]
     f_lo, f_hi = block["band"]
@@ -536,37 +516,33 @@ def _fig4_dataset(cfg, sys_cfg, seed) -> estimation.SqueezingDataset:
     return estimation.SqueezingDataset(points=tuple(points))
 
 
-def _cmd_reproduce_fig4(cfg, sys_cfg, outdir, seed):
+def _cmd_reproduce_fig4(cfg, sys_cfg, input_path):
     block = cfg["reproduce_fig4"]
-    dataset = _fig4_dataset(cfg, sys_cfg, seed)
-    _write_csv(
-        outdir / "fig4_dataset.csv",
-        ["epsilon", "var_minus", "var_plus", "uncert"],
-        dataset.points,
-    )
+    dataset = _fig4_dataset(cfg, sys_cfg)
     result = estimation.fit_phase_noise_model(
         dataset,
         mode=cfg["fit_settings"]["mode"],
         n_bootstrap=block["n_bootstrap"],
-        bootstrap_seed=seed,
+        bootstrap_seed=cfg["run"]["rng_seed"],
     )
-    payload = _fit_payload(result)
+    payload = asdict(result)
     payload["injected_sigma_theta"] = block["sigma_theta"]
     payload["injected_eta"] = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
-    _write_json(outdir / "fig4_fit.json", payload)
-    return ["fig4_dataset.csv", "fig4_fit.json"]
+    return {
+        "fig4_dataset.csv": (["epsilon", "var_minus", "var_plus", "uncert"], list(zip(*dataset.points))),
+        "fig4_fit.json": payload,
+    }
 
 
-def _cmd_reproduce_fig5(cfg, sys_cfg, outdir, seed):
+def _cmd_reproduce_fig5(cfg, sys_cfg, input_path):
     block = cfg["reproduce_fig5"]
     f = np.linspace(block["f_lo"], block["f_hi"], _scan_points(cfg, "reproduce_fig5"))
-    _write_spectra(outdir / "fig5_spectra.csv", sys_cfg, f / sys_cfg.cavity.gamma_total, f_hz=f)
-    return ["fig5_spectra.csv"]
+    return {"fig5_spectra.csv": _spectra_table(sys_cfg, f / sys_cfg.cavity.gamma_total, f_hz=f)}
 
 
 _REPRODUCE = {"fig3": _cmd_reproduce_fig3, "fig4": _cmd_reproduce_fig4, "fig5": _cmd_reproduce_fig5}
 
-_SIMPLE_COMMANDS = {
+_COMMANDS = {
     "steady-state": _cmd_steady_state,
     "integrate": _cmd_integrate,
     "spectra": _cmd_spectra,
@@ -574,9 +550,10 @@ _SIMPLE_COMMANDS = {
     "duan-simon": _cmd_duan_simon,
     "lock-sim": _cmd_lock_sim,
     "synth-epr": _cmd_synth_epr,
+    "calibrate": _cmd_calibrate,
+    "psd": _cmd_psd,
+    "fit": _cmd_fit,
 }
-
-_INPUT_COMMANDS = {"calibrate": _cmd_calibrate, "psd": _cmd_psd, "fit": _cmd_fit}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         "two-color EPR source",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in list(_SIMPLE_COMMANDS) + list(_INPUT_COMMANDS) + ["reproduce"]:
+    for name in [*_COMMANDS, "reproduce"]:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file merged over defaults")
         p.add_argument(
@@ -599,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override run.rng_seed")
-        if name in _INPUT_COMMANDS:
+        if name in ("calibrate", "psd", "fit"):
             p.add_argument("--input", default=None, help="input CSV file")
         if name == "reproduce":
             p.add_argument("target", choices=sorted(_REPRODUCE))
@@ -607,33 +584,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Compute the subcommand's artifacts, then write them and the manifest."""
+    args = build_parser().parse_args(argv)
     cfg = load_config(args.config, args.overrides)
     if args.seed is not None:
         cfg["run"]["rng_seed"] = args.seed
-    seed = cfg["run"]["rng_seed"]
     sys_cfg = _system_config(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    if args.subcommand == "reproduce":
-        outputs = _REPRODUCE[args.target](cfg, sys_cfg, outdir, seed)
-    elif args.subcommand in _INPUT_COMMANDS:
-        outputs = _INPUT_COMMANDS[args.subcommand](cfg, sys_cfg, outdir, seed, args.input)
-    else:
-        outputs = _SIMPLE_COMMANDS[args.subcommand](cfg, sys_cfg, outdir, seed)
-
+    handler = _REPRODUCE[args.target] if args.subcommand == "reproduce" else _COMMANDS[args.subcommand]
+    artifacts = handler(cfg, sys_cfg, getattr(args, "input", None))
     manifest = {
         "tool": "eprlock",
         "version": __version__,
         "subcommand": args.subcommand,
         "config_sha256": _config_hash(cfg),
-        "seed": seed,
-        "outputs": outputs,
+        "seed": cfg["run"]["rng_seed"],
+        "outputs": list(artifacts),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _write_json(outdir / "manifest.json", manifest)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in {**artifacts, "manifest.json": manifest}.items():
+        _write(outdir / name, content)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import signal as sp_signal
 from scipy.optimize import least_squares
 
-from .model import TimeSeries
+from .model import NumericalError, TimeSeries
 from .spectra import phase_noise_variance, two_mode_variance
 
 WINDOWS = ("hann", "rectangular")
@@ -217,11 +217,10 @@ def fit_phase_noise_model(
     s2 = float(r_opt @ r_opt) / dof
     try:
         cov = s2 * np.linalg.inv(best.jac.T @ best.jac)
-        eta_err = float(math.sqrt(max(cov[0, 0], 0.0)))
-        sigma_err = float(math.sqrt(max(cov[1, 1], 0.0)))
-    except np.linalg.LinAlgError:
-        eta_err = float("nan")
-        sigma_err = float("nan")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("the data do not determine (eta, sigma_Theta): J^T J is singular") from exc
+    eta_err = float(math.sqrt(max(cov[0, 0], 0.0)))
+    sigma_err = float(math.sqrt(max(cov[1, 1], 0.0)))
 
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)

@@ -58,12 +58,12 @@ class DisturbanceSpec:
 class LoopConfig:
     """PI servo with demodulation low-pass and a resonant PZT actuator."""
 
-    kp: float = 0.5
-    ki: float = 1.2e4  # 1/s
-    lpf_cutoff: float = 1e4  # Hz
-    actuator_range: float = 20.0  # rad
-    actuator_resonance: float = 2e4  # Hz
-    actuator_q: float = 10.0
+    kp: float
+    ki: float  # 1/s
+    lpf_cutoff: float  # Hz
+    actuator_range: float  # rad
+    actuator_resonance: float  # Hz
+    actuator_q: float
 
     def __post_init__(self):
         if self.lpf_cutoff <= 0 or self.actuator_range <= 0:

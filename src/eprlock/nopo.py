@@ -36,7 +36,7 @@ from .model import (
 CLOSED_FORM_VARIANTS = ("corrected", "paper-literal")
 
 # Amplitude-explosion heuristic: |alpha| beyond this multiple of the input
-# scale flags an above-threshold run.
+# scale flags an unstable integration step.
 _EXPLOSION_FACTOR = 1e6
 
 
@@ -173,12 +173,6 @@ def drift_eigenvalues(cavity: CavityParams, pump: PumpParams) -> np.ndarray:
     return np.linalg.eigvals(m)
 
 
-def _growth_diagnostic(cavity: CavityParams, pump: PumpParams) -> str:
-    """Largest drift eigenvalue real part, quoted in above-threshold errors."""
-    rate = float(np.max(drift_eigenvalues(cavity, pump).real))
-    return f"largest drift eigenvalue real part {rate:.3e} 1/s"
-
-
 def integrate_dynamics(
     cavity: CavityParams,
     pump: PumpParams,
@@ -189,17 +183,19 @@ def integrate_dynamics(
 ) -> Trajectory:
     """Fixed-step RK4 integration of the classical equations of motion.
 
-    Raises AboveThresholdError for a pump at or above threshold, or if the
-    amplitudes explode; the message then reports the largest drift
-    eigenvalue.
+    Raises AboveThresholdError for a pump at or above threshold, quoting the
+    largest drift eigenvalue. Below threshold the dynamics are damped, so
+    amplitudes that still explode mean dt lies past RK4's stability limit:
+    that is a NumericalError.
     """
     gamma = cavity.gamma_total
     if not 0.0 < dt <= 0.1 / gamma:
         raise ValueError(f"dt = {dt} outside (0, 0.1/gamma = {0.1 / gamma}]")
     if pump.epsilon >= 1.0:
+        rate = float(np.max(drift_eigenvalues(cavity, pump).real))
         raise AboveThresholdError(
             f"epsilon = {pump.epsilon} >= 1: the amplitudes grow without bound "
-            f"({_growth_diagnostic(cavity, pump)})"
+            f"(largest drift eigenvalue real part {rate:.3e} 1/s)"
         )
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
@@ -219,8 +215,9 @@ def integrate_dynamics(
         _EXPLOSION_FACTOR * scale,
     )
     if diverged >= 0:
-        raise AboveThresholdError(
-            f"trajectory diverged at t = {diverged * dt:.3e} s ({_growth_diagnostic(cavity, pump)})"
+        raise NumericalError(
+            f"trajectory diverged at t = {diverged * dt:.3e} s: the step dt = {dt:.3e} s is past "
+            "RK4's stability limit; lower integrate.dt_over_gamma"
         )
     times = np.arange(n_steps + 1) * dt
     return Trajectory(times=times, alpha_s=alpha_s, alpha_i=alpha_i)

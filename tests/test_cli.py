@@ -107,6 +107,22 @@ class TestExitCodes:
         assert "eigenvalue" in json.loads(capsys.readouterr().err)["message"]
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
+    def test_unstable_integration_step_is_4(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["integrate", "--set", "cavity.delta=1e9", "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "integrate.dt_over_gamma" in err["message"]
+        assert not out.exists()
+
+    def test_undetermined_fit_is_4(self, tmp_path, capsys):
+        table = tmp_path / "dataset.csv"
+        table.write_text("epsilon,var_minus,var_plus,uncert\n" + "0.0,1.0,1.0,0.01\n" * 4)
+        out = tmp_path / "o"
+        assert cli.main(["fit", "--input", str(table), "--out", str(out)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+        assert not (out / "fit.json").exists()
+
     def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
         code = cli.main(
             ["steady-state", "--set", "frequency_plan.lambda_p=500e-9", "--out", str(tmp_path / "o")]
@@ -170,7 +186,7 @@ class TestRejectedSettings:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config"
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
 
 class TestSteadyStateCommand:
@@ -368,6 +384,43 @@ class TestInputCommands:
         assert not (out / "fit.json").exists()
 
 
+_EVERY_COMMAND = [
+    ["steady-state"],
+    ["integrate"],
+    ["spectra"],
+    ["sweep"],
+    ["duan-simon"],
+    ["lock-sim", "--set", "lock_sim.duration=0.1"],
+    ["synth-epr", "--set", "synth_epr.duration=0.05"],
+    ["calibrate", "--input", "{fringe}"],
+    ["psd", "--input", "{trace}"],
+    ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=0"],
+    ["reproduce", "fig3", "--set", "lock_sim.duration=0.1"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.n_bootstrap=0"],
+    ["reproduce", "fig5"],
+]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("args", _EVERY_COMMAND, ids=lambda args: " ".join(args))
+    def test_outputs_are_the_files_written(self, tmp_path, args):
+        theta = np.linspace(0.0, 2.0 * math.pi, 257)
+        fringe = "".join(f"{k * 1e-3},{p},{math.sin(p)}\n" for k, p in enumerate(theta))
+        tables = {
+            "fringe": "t,phase,signal\n" + fringe,
+            "trace": "t,value\n" + "".join(f"{k * 1e-3},{math.sin(0.3 * k)}\n" for k in range(256)),
+            "dataset": "epsilon,var_minus,var_plus,uncert\n"
+            "0.1,0.8,1.3,0.01\n0.3,0.5,2.5,0.01\n0.5,0.4,5.0,0.01\n0.7,0.3,12.0,0.01\n",
+        }
+        for name, text in tables.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        args = [a.format(**{k: str(tmp_path / f"{k}.csv") for k in tables}) for a in args]
+        out = tmp_path / "run"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        outputs = _read_json(out / "manifest.json")["outputs"]
+        assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 class TestReproducibility:
     def test_identical_runs_produce_identical_artifacts(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -408,7 +461,7 @@ class TestConfigContract:
     )
     def test_any_single_override_keeps_the_exit_contract(self, command, leaf, value):
         """Exit 0/2/3/4 without raising; an error is one JSON line and no
-        manifest; a success writes no NaN or infinite value."""
+        output directory; a success writes no NaN or infinite value."""
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
             out = Path(tmp) / "run"
             code = cli.main(command + ["--set", f"{leaf}={value}", "--out", str(out)])
@@ -417,7 +470,7 @@ class TestConfigContract:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1
                 assert json.loads(lines[0])["error"] in ("config", "physics", "numerical")
-                assert not (out / "manifest.json").exists()
+                assert not out.exists()
             else:
                 for artifact in out.iterdir():
                     assert not _NON_FINITE.search(artifact.read_text()), artifact.name

@@ -7,6 +7,7 @@ import pytest
 
 from eprlock import estimation, spectra
 from eprlock.locksim import TimeSeries
+from eprlock.model import NumericalError
 
 
 def _white(duration=10.0, rate=1e4, seed=0, std=1.0):
@@ -146,4 +147,10 @@ class TestFitPhaseNoiseModel:
     def test_too_few_points(self):
         ds = estimation.SqueezingDataset(points=((0.1, 0.9, 1.2, 0.01), (0.5, 0.4, 5.0, 0.01)))
         with pytest.raises(ValueError, match="4"):
+            estimation.fit_phase_noise_model(ds)
+
+    def test_undetermined_parameters_are_a_numerical_error(self):
+        # At epsilon = 0 neither variance depends on (eta, sigma): J^T J = 0.
+        ds = estimation.SqueezingDataset(points=((0.0, 1.0, 1.0, 0.01),) * 4)
+        with pytest.raises(NumericalError, match="singular"):
             estimation.fit_phase_noise_model(ds)

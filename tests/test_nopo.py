@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprlock import kernels
-from eprlock.model import AboveThresholdError, CavityParams, PhysicsDomainError, PumpParams, SeedParams, wrap_phase
+from eprlock.model import (
+    AboveThresholdError,
+    CavityParams,
+    NumericalError,
+    PhysicsDomainError,
+    PumpParams,
+    SeedParams,
+    wrap_phase,
+)
 from eprlock import nopo
 
 
@@ -154,6 +162,14 @@ class TestIntegrateDynamics:
                 SeedParams(alpha_cl=1.0),
                 t_end=200.0,
                 dt=0.05,
+            )
+
+    def test_unstable_step_below_threshold_is_numerical(self):
+        # dt * delta = 3 lies past RK4's stability limit on the imaginary axis (~2.83).
+        with pytest.raises(NumericalError, match="dt_over_gamma"):
+            nopo.integrate_dynamics(
+                _symmetric_cavity(delta=60.0), PumpParams(epsilon=0.5), SeedParams(alpha_cl=1.0),
+                t_end=50.0, dt=0.05,
             )
 
     def test_step_size_guard(self):
