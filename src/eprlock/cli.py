@@ -201,21 +201,41 @@ def _system_config(cfg: dict) -> SystemConfig:
     return sys_cfg
 
 
-def _write(path: Path, content) -> None:
-    """Write a dict as strict JSON, or a (header, columns) pair as CSV rows."""
+# Rows per write of a CSV artifact: large enough to amortize the join,
+# small enough that the row strings stay a small part of peak memory.
+_CSV_CHUNK = 8192
+
+
+def _encode(name: str, content):
+    """Refuse an artifact with a non-finite value; a JSON payload becomes its text.
+
+    A dict is a JSON payload; a (header, columns) pair is a CSV table, whose
+    columns come back as float arrays.
+    """
     if isinstance(content, dict):
         try:
-            text = json.dumps(content, indent=2, sort_keys=True, allow_nan=False)
+            return json.dumps(content, indent=2, sort_keys=True, allow_nan=False) + "\n"
         except ValueError as exc:
-            raise NumericalError(f"{path.name} would hold a non-finite value") from exc
-        path.write_text(text + "\n")
+            raise NumericalError(f"{name} would hold a non-finite value") from exc
+    header, columns = content
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if not all(np.isfinite(col).all() for col in columns):
+        raise NumericalError(f"{name} would hold a non-finite value")
+    return header, columns
+
+
+def _write(path: Path, content) -> None:
+    """Write an encoded artifact: JSON text, or CSV rows of repr(float) cells."""
+    if isinstance(content, str):
+        path.write_text(content)
         return
     header, columns = content
+    n = min(map(len, columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh).writerow(header)
+        for start in range(0, n, _CSV_CHUNK):
+            cells = [map(repr, col[start : start + _CSV_CHUNK].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -266,7 +286,7 @@ def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
 # --- subcommand handlers -------------------------------------------------
 #
 # Each handler maps (cfg, sys_cfg, input_path) to its artifacts, a dict
-# {file name: content} in manifest order; ``_write`` defines the contents.
+# {file name: content} in manifest order; ``_encode`` defines the contents.
 
 
 def _cmd_steady_state(cfg, sys_cfg, input_path):
@@ -601,9 +621,11 @@ def run(argv: list[str] | None = None) -> int:
         "outputs": list(artifacts),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
+    artifacts["manifest.json"] = manifest
+    encoded = {name: _encode(name, content) for name, content in artifacts.items()}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in {**artifacts, "manifest.json": manifest}.items():
+    for name, content in encoded.items():
         _write(outdir / name, content)
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Spectral estimation and model fitting.
 
-Welch PSDs (Hann window, 50% overlap by default, Parseval-normalized),
+Welch PSDs (periodic Hann window, 50% overlap by default,
+Parseval-normalized; Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)),
 band integration for phase-noise RMS extraction, error-signal calibration,
 and the two-parameter (eta, sigma_Theta) fit of squeezing-vs-pump data.
 """
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import least_squares
 
 from .model import NumericalError, TimeSeries
@@ -110,20 +111,27 @@ def welch_psd(
     n = series.samples.size
     if segment_length is None:
         segment_length = default_segment_length(n)
+    if segment_length < 1:
+        raise ValueError("segment_length must be at least 1")
     if segment_length > n:
         raise ValueError("series shorter than one segment")
     if not 0.0 <= overlap_fraction <= 0.9:
         raise ValueError("overlap_fraction must lie in [0, 0.9]")
-    win = "hann" if window == "hann" else "boxcar"
-    freqs, dens = sp_signal.welch(
-        series.samples,
-        fs=series.sample_rate,
-        window=win,
-        nperseg=segment_length,
-        noverlap=int(overlap_fraction * segment_length),
-        detrend=False,
-        scaling="density",
-    )
+    step = segment_length - int(overlap_fraction * segment_length)
+    if window == "hann":
+        # Periodic Hann: the first n points of the symmetric (n + 1)-point window.
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    else:
+        win = np.ones(segment_length)
+    segments = sliding_window_view(series.samples, segment_length)[::step]
+    dens = np.abs(np.fft.rfft(segments * win))
+    dens *= dens
+    dens = dens.mean(axis=0)
+    # One-sided density: every bin but DC (and Nyquist, for even lengths)
+    # also carries the power of its negative frequency.
+    dens /= series.sample_rate * np.sum(win * win)
+    dens[1 : None if segment_length % 2 else -1] *= 2.0
+    freqs = np.fft.rfftfreq(segment_length, d=1.0 / series.sample_rate)
     return PsdEstimate(
         frequencies=freqs,
         densities=dens,

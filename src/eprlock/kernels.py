@@ -1,4 +1,5 @@
-"""Hot numerical kernels: RK4 cavity integration and the servo inner loop."""
+"""Hot numerical kernels: RK4 cavity integration, the servo inner loop and a
+one-pole low-pass filter."""
 
 from __future__ import annotations
 
@@ -102,3 +103,39 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
         else:
             frozen = False
     return res, sat
+
+
+def one_pole_lowpass(x, alpha):
+    """First-order IIR low-pass y[k] = alpha*x[k] + (1 - alpha)*y[k-1], y[-1] = 0.
+
+    A blocked scan (Blelloch 1990) with a = 1 - alpha. The value that enters
+    each block of b samples, a*y at the end of the previous block, is found
+    first: one dot product per block gives the block's own response to its
+    inputs, and a scalar carry loop chains the blocks. Adding it to the
+    block's first input makes the blocks independent, and each is solved
+    by y[j] = a^j cumsum(alpha x[i] a^-i). The block shrinks for small a so
+    that a^-(b-1) stays below 1e150 and the scaled cumsum cannot overflow.
+    Everything runs in place in the one output buffer.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    x = np.asarray(x, dtype=float)
+    a = 1.0 - alpha
+    if a == 0.0:
+        return x.copy()
+    b = 64 if a**63 >= 1e-150 else 1 + int(-150.0 / math.log10(a))
+    n = x.size
+    rows = -(-n // b)
+    y = np.zeros(rows * b)
+    np.multiply(x, alpha, out=y[:n])
+    blocks = y.reshape(rows, b)
+    powers = a ** np.arange(b)
+    carry, a_b, entries = 0.0, a**b, []
+    for end in (blocks @ powers[::-1]).tolist():
+        entries.append(a * carry)
+        carry = end + a_b * carry
+    blocks[:, 0] += entries
+    blocks /= powers
+    np.cumsum(blocks, axis=1, out=blocks)
+    blocks *= powers
+    return y[:n]

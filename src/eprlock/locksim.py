@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import kernels
 from .estimation import integrate_psd, welch_psd
@@ -129,21 +128,6 @@ def error_signal(theta, amp_lo, amp_cl, theta_ref, beat_sign):
     return amp_lo * amp_cl * np.sin(np.asarray(theta) + beat_sign * theta_ref)
 
 
-def lockin_demodulate(
-    baseband_iq: np.ndarray, sample_rate: float, theta_ref: float, lpf_cutoff: float
-) -> TimeSeries:
-    """Rotate the complex baseband beat by -theta_ref, take the quadrature
-    component, and first-order low-pass it.
-    """
-    if lpf_cutoff >= sample_rate / 4.0:
-        raise ValueError("lpf_cutoff must be below sample_rate/4")
-    z = np.asarray(baseband_iq, dtype=complex) * np.exp(-1j * theta_ref)
-    quad = z.imag
-    alpha = 1.0 - math.exp(-2.0 * math.pi * lpf_cutoff / sample_rate)
-    filtered = lfilter([alpha], [1.0, -(1.0 - alpha)], quad)
-    return TimeSeries(sample_rate=sample_rate, samples=filtered, label="error signal")
-
-
 def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
     dt = 1.0 / rate
     lpf_alpha = 1.0 - math.exp(-2.0 * math.pi * loop.lpf_cutoff * dt)
@@ -240,11 +224,13 @@ def synth_theta_process(
     sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int
 ) -> TimeSeries:
     """Stationary low-pass Gaussian phase process with exact RMS ``sigma``."""
+    if not cutoff > 0:
+        raise ValueError(f"theta cutoff must be positive, got {cutoff}")
     n = _sample_count(duration, rate)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n)
     alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
-    x = lfilter([alpha], [1.0, -(1.0 - alpha)], white)
+    x = kernels.one_pole_lowpass(white, alpha)
     std = float(np.std(x))
     if sigma > 0 and std > 0:
         x *= sigma / std

@@ -6,7 +6,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -122,6 +125,25 @@ class TestExitCodes:
         assert cli.main(["fit", "--input", str(table), "--out", str(out)]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
         assert not (out / "fit.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, rows",
+        [
+            # Every PSD bin overflows to inf; psd.csv would hold it.
+            ("psd", ["t,value"] + [f"{k * 1e-3},1e308" for k in range(100)]),
+            # The fringe's peak-to-peak overflows to inf; calibration.json would hold it.
+            ("calibrate", ["t,signal"] + [f"{k * 1e-3},{(-1) ** k * 1e308}" for k in range(100)]),
+        ],
+    )
+    def test_non_finite_artifact_is_4(self, tmp_path, capsys, command, rows):
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--input", str(table), "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numerical"
+        assert not out.exists()
 
     def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
         code = cli.main(
@@ -419,6 +441,38 @@ class TestManifest:
         assert cli.main(args + ["--out", str(out)]) == 0
         outputs = _read_json(out / "manifest.json")["outputs"]
         assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+class TestWrite:
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        header = ["t", "special", "wide"]
+        columns = [
+            list(range(-3, rows - 3)),  # ints are written as floats
+            np.resize([-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0], rows),
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+        ]
+        path = tmp_path / "table.csv"
+        cli._write(path, cli._encode(path.name, (header, columns)))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([repr(float(x)) for x in row])
+        assert path.read_bytes() == reference.read_bytes()
+
+
+class TestImport:
+    def test_cli_does_not_import_scipy_signal(self):
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        code = "import sys, eprlock.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestReproducibility:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprlock import estimation, spectra
 from eprlock.locksim import TimeSeries
@@ -44,6 +46,36 @@ class TestWelchPsd:
             estimation.welch_psd(series, segment_length=10**6)
         with pytest.raises(ValueError):
             estimation.welch_psd(series, overlap_fraction=0.95)
+        with pytest.raises(ValueError):
+            estimation.welch_psd(series, segment_length=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 4000),
+        segment_fraction=st.floats(0.0, 1.0),
+        overlap=st.floats(0.0, 0.9),
+        window=st.sampled_from(estimation.WINDOWS),
+        rate=st.floats(1.0, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_welch(self, n, segment_fraction, overlap, window, rate, seed):
+        # scipy.signal is the reference here only; the package does not import it.
+        from scipy import signal
+
+        segment = 2 + int(segment_fraction * (n - 2))
+        x = np.random.default_rng(seed).standard_normal(n)
+        psd = estimation.welch_psd(TimeSeries(rate, x), segment, overlap, window)
+        freqs, dens = signal.welch(
+            x,
+            fs=rate,
+            window="hann" if window == "hann" else "boxcar",
+            nperseg=segment,
+            noverlap=int(overlap * segment),
+            detrend=False,
+            scaling="density",
+        )
+        np.testing.assert_array_equal(psd.frequencies, freqs)
+        np.testing.assert_allclose(psd.densities, dens, rtol=1e-12, atol=0.0)
 
 
 class TestIntegratePsd:

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eprlock.model import PhysicsDomainError
 from eprlock.nopo import LockFieldState
-from eprlock import locksim
+from eprlock import kernels, locksim
 
 
 class TestTimeSeries:
@@ -86,26 +88,6 @@ class TestErrorSignal:
             locksim.error_signal(0.0, -1.0, 1.0, 0.0, 1)
         with pytest.raises(ValueError):
             locksim.error_signal(0.0, 1.0, 1.0, 0.0, 2)
-
-
-class TestLockinDemodulate:
-    def test_constant_phase_settles_to_quadrature(self):
-        rate, theta, ref = 1e5, 0.4, 0.1
-        iq = 2.0 * np.exp(1j * theta) * np.ones(20000)
-        out = locksim.lockin_demodulate(iq, rate, ref, 1e3)
-        assert out.samples[-1] == pytest.approx(2.0 * math.sin(theta - ref), rel=1e-6)
-
-    def test_low_pass_rejects_fast_modulation(self):
-        rate = 1e5
-        t = np.arange(40000) / rate
-        fast = 0.5 * np.sin(2.0 * np.pi * 2e4 * t)
-        iq = np.exp(1j * fast)
-        out = locksim.lockin_demodulate(iq, rate, 0.0, 100.0)
-        assert np.std(out.samples[20000:]) < 0.02 * np.std(fast)
-
-    def test_cutoff_guard(self):
-        with pytest.raises(ValueError):
-            locksim.lockin_demodulate(np.ones(16, dtype=complex), 100.0, 0.0, 30.0)
 
 
 FIELDS = LockFieldState(a_cls=1.0 + 0j, a_cli=0.5 + 0j)
@@ -195,6 +177,46 @@ class TestSynthThetaProcess:
     def test_zero_sigma_is_silent(self):
         ts = locksim.synth_theta_process(0.0, 200.0, 0.1, 1e4, 9)
         assert np.all(ts.samples == 0.0)
+
+    @pytest.mark.parametrize("cutoff", [0.0, -200.0])
+    def test_cutoff_must_be_positive(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            locksim.synth_theta_process(0.01, cutoff, 0.1, 1e4, 9)
+
+
+def _one_pole_reference(x, alpha):
+    """The low-pass recurrence, one sample at a time."""
+    out, y = [], 0.0
+    for v in x:
+        y = alpha * v + (1.0 - alpha) * y
+        out.append(y)
+    return np.array(out)
+
+
+class TestOnePoleLowpass:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5000),
+        alpha=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True), st.sampled_from([1.0, 1e-300, 1.0 - 2**-52])
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Shorter than one 64-sample block, one block, and past a block edge.
+    @example(n=1, alpha=0.01, seed=0)
+    @example(n=63, alpha=0.01, seed=1)
+    @example(n=64, alpha=0.01, seed=2)
+    @example(n=65, alpha=0.01, seed=3)
+    @example(n=4999, alpha=0.006, seed=4)
+    def test_matches_the_recurrence(self, n, alpha, seed):
+        x = np.random.default_rng(seed).standard_normal(n)
+        y = kernels.one_pole_lowpass(x, alpha)
+        np.testing.assert_allclose(y, _one_pole_reference(x.tolist(), alpha), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            kernels.one_pole_lowpass(np.ones(4), alpha)
 
 
 class TestSynthEprPhotocurrents:
