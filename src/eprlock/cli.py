@@ -401,19 +401,17 @@ def _cmd_lock_sim(cfg, sys_cfg, input_path):
 def _cmd_synth_epr(cfg, sys_cfg, input_path):
     block = cfg["synth_epr"]
     seed = cfg["run"]["rng_seed"]
-    gamma = sys_cfg.cavity.gamma_total
-    residual = None
+    theta = None
     if block["sigma_theta"] > 0:
         theta = locksim.synth_theta_process(
             block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
         )
-        residual = (theta, theta)
     q_s, q_i = locksim.synth_epr_photocurrents(
         sys_cfg.pump.epsilon,
         sys_cfg.detection.eta_s,
         sys_cfg.detection.eta_i,
-        gamma,
-        residual,
+        sys_cfg.cavity.gamma_total,
+        theta,
         block["duration"],
         block["rate"],
         seed,
@@ -501,7 +499,6 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
 def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
     block = cfg["reproduce_fig4"]
     seed = cfg["run"]["rng_seed"]
-    gamma = sys_cfg.cavity.gamma_total
     duration, rate = block["duration"], block["rate"]
     f_lo, f_hi = block["band"]
     points = []
@@ -514,8 +511,8 @@ def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
             eps,
             sys_cfg.detection.eta_s,
             sys_cfg.detection.eta_i,
-            gamma,
-            (theta, theta),
+            sys_cfg.cavity.gamma_total,
+            theta,
             duration,
             rate,
             run_seed,
@@ -603,6 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Overflow, invalid values and division by zero end as exit 4, not as stderr warnings.
+@np.errstate(all="raise", under="ignore")
 def run(argv: list[str] | None = None) -> int:
     """Compute the subcommand's artifacts, then write them and the manifest."""
     args = build_parser().parse_args(argv)
@@ -639,7 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsDomainError as exc:
         _emit_error("physics", exc)
         return EXIT_PHYSICS
-    except NumericalError as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _emit_error("numerical", exc)
         return EXIT_NUMERICAL
     except ValueError as exc:

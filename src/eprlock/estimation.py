@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import least_squares
 
 from .model import NumericalError, TimeSeries
 from .spectra import phase_noise_variance, two_mode_variance
@@ -187,6 +186,8 @@ def _residual_fn(eps, vm, vp, unc, omega_norm: float, mode: str):
 def _best_fit(residuals, starts):
     """Bounded least squares from each start: the lowest-cost result, and
     whether any start converged."""
+    from scipy.optimize import least_squares  # here, so that only fits pay its ~0.5 s import
+
     best, converged = None, False
     for start in starts:
         res = least_squares(residuals, start, bounds=([0.0, 0.0], [1.0, _SIGMA_MAX]))
@@ -227,8 +228,12 @@ def fit_phase_noise_model(
         cov = s2 * np.linalg.inv(best.jac.T @ best.jac)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("the data do not determine (eta, sigma_Theta): J^T J is singular") from exc
-    eta_err = float(math.sqrt(max(cov[0, 0], 0.0)))
-    sigma_err = float(math.sqrt(max(cov[1, 1], 0.0)))
+    eta_err, sigma_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+    # An error wider than the parameter's bounded range: the data do not fix it. A sigma_Theta
+    # at its bound is exempt, since the model is even in sigma (zero Jacobian column at 0).
+    if eta_err > 1.0 or (sigma_err > _SIGMA_MAX and not at_boundary):
+        msg = f"1-sigma errors {eta_err:.3g}, {sigma_err:.3g} against bound widths 1, {_SIGMA_MAX}"
+        raise NumericalError(f"the data do not determine (eta, sigma_Theta): {msg}")
 
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)

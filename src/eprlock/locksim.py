@@ -18,7 +18,7 @@ from . import kernels
 from .estimation import integrate_psd, welch_psd
 from .model import PhysicsDomainError, TimeSeries
 from .nopo import LockFieldState
-from .spectra import two_mode_variance
+from .spectra import SIGNS, two_mode_variance
 
 # Residual larger than this counts as out of lock.
 IN_LOCK_THRESHOLD = 0.1  # rad
@@ -207,19 +207,6 @@ def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
     return s_pp, 2.0 / s_pp
 
 
-def _lorentzian_filter(white: np.ndarray, rate: float, gamma: float, epsilon: float, sign: str) -> np.ndarray:
-    """Shape unit white noise to the corrected lossless two-mode spectrum."""
-    n = white.size
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    h = np.sqrt(two_mode_variance(epsilon, 1.0, freqs / gamma, sign))
-    return np.fft.irfft(np.fft.rfft(white) * h, n)
-
-
-def _resample_to(series: TimeSeries, n: int, rate: float) -> np.ndarray:
-    t_new = np.arange(n) / rate
-    return np.interp(t_new, series.times, series.samples)
-
-
 def synth_theta_process(
     sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int
 ) -> TimeSeries:
@@ -244,7 +231,7 @@ def synth_epr_photocurrents(
     eta_s: float,
     eta_i: float,
     gamma: float,
-    residual_theta: tuple[TimeSeries, TimeSeries] | None,
+    theta: TimeSeries | None,
     duration: float,
     rate: float,
     rng_seed: int,
@@ -252,28 +239,36 @@ def synth_epr_photocurrents(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Correlated homodyne photocurrent records with EPR statistics.
 
-    Construction: four independent white-noise records are shaped to the
-    corrected squeezing/anti-squeezing Lorentzians (the joint quadratures
-    and their orthogonal counterparts), rotated per sample by the
-    instantaneous common-mode phase, transformed to the per-arm currents,
-    and mixed with vacuum for the 1-eta loss of each arm. Deterministic
-    for a fixed seed.
+    Construction: the joint quadratures (and, given a common-mode phase record
+    ``theta``, their orthogonal counterparts) are independent Gaussian records
+    drawn as rfft spectra shaped by the corrected squeezing/anti-squeezing
+    Lorentzians, rotated per sample by ``theta``, transformed to the per-arm
+    currents, and mixed with vacuum for the 1-eta loss of each arm.
     """
     if not 0.0 <= epsilon < 1.0:
         raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
     n = _sample_count(duration, rate)
+    if theta is not None and (theta.sample_rate != rate or theta.samples.size != n):
+        raise ValueError(f"theta record must hold {n} samples at {rate} Hz, like the photocurrents")
     rng = np.random.default_rng(rng_seed)
-    q_minus = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "minus")
-    q_plus = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "plus")
-    q_minus_orth = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "plus")
-    q_plus_orth = _lorentzian_filter(rng.standard_normal(n), rate, gamma, epsilon, "minus")
+    # rfft of unit white noise: E|X_k|^2 = n, half real and half imaginary but at DC and (n even) Nyquist.
+    m = n // 2 + 1
+    real_bins = [0, m - 1] if n % 2 == 0 else [0]
+    omega = np.fft.rfftfreq(n, d=1.0 / rate) / gamma
+    gain = {sign: np.sqrt(two_mode_variance(epsilon, 1.0, omega, sign) * (n / 2.0)) for sign in SIGNS}
 
-    if residual_theta is not None:
-        r_s, r_i = residual_theta
-        theta = 0.5 * (_resample_to(r_s, n, rate) + _resample_to(r_i, n, rate))
-        c, s = np.cos(theta), np.sin(theta)
-        q_minus = q_minus * c + q_minus_orth * s
-        q_plus = q_plus * c + q_plus_orth * s
+    def record(sign: str) -> np.ndarray:
+        spectrum = rng.standard_normal(2 * m).view(complex)
+        spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
+        spectrum *= gain[sign]
+        return np.fft.irfft(spectrum, n)
+
+    q_minus, q_plus = record("minus"), record("plus")
+    if theta is not None:
+        # Each orthogonal record is drawn where it is mixed in, so none is held.
+        c, s = np.cos(theta.samples), np.sin(theta.samples)
+        q_minus = q_minus * c + record("plus") * s
+        q_plus = q_plus * c + record("minus") * s
 
     q_s = (q_plus + q_minus) / math.sqrt(2.0)
     q_i = (q_plus - q_minus) / math.sqrt(2.0)

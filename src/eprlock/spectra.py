@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import NumericalError, PhysicsDomainError
 
@@ -176,6 +175,7 @@ def optimize_combination(model: CovarianceModel, sign: str) -> CombinationOptimu
         return CombinationOptimum(g_star=1.0, var_star=weighted_variance(model, 1.0, sign), no_correlation=True)
 
     def search() -> float:
+        from scipy.optimize import minimize_scalar  # here, so that only optimizers pay its import
         res = minimize_scalar(
             lambda lg: weighted_variance(model, 10.0**lg, sign),
             bounds=(-3.0, 3.0),
@@ -229,6 +229,7 @@ def optimal_epsilon(
         v_plus = two_mode_variance(eps, eta, omega_norm, "plus")
         return phase_noise_variance(v_minus, v_plus, sigma_theta, mode)
 
+    from scipy.optimize import minimize_scalar  # here, so that only optimizers pay its import
     res = minimize_scalar(
         objective, bounds=(0.0, 0.99), method="bounded", options={"xatol": 1e-8}
     )

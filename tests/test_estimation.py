@@ -186,3 +186,10 @@ class TestFitPhaseNoiseModel:
         ds = estimation.SqueezingDataset(points=((0.0, 1.0, 1.0, 0.01),) * 4)
         with pytest.raises(NumericalError, match="singular"):
             estimation.fit_phase_noise_model(ds)
+
+    def test_errors_wider_than_the_bounds_are_a_numerical_error(self):
+        # Near epsilon = 0 the variances barely depend on (eta, sigma): J^T J is
+        # invertible (cond ~5e5), but the 1-sigma errors exceed the bound widths.
+        ds = estimation.SqueezingDataset(points=tuple((e, 1.0, 1.0, 0.01) for e in (1e-6, 2e-6, 3e-6, 4e-6)))
+        with pytest.raises(NumericalError, match="bound widths"):
+            estimation.fit_phase_noise_model(ds, n_bootstrap=0)

@@ -249,6 +249,34 @@ class TestSynthEprPhotocurrents:
         with pytest.raises(PhysicsDomainError):
             locksim.synth_epr_photocurrents(1.0, 0.9, 0.9, self.GAMMA, None, 0.1, 1e4, 0)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 9])
+    def test_flat_spectrum_at_zero_pump(self, n):
+        """At epsilon = 0 every rfft bin of a record has mean |X_k|^2/n = 1,
+        the real DC and (n even) Nyquist bins included."""
+        rate, records = 1e5, 4000
+        power = np.zeros(n // 2 + 1)
+        for seed in range(records // 2):
+            for q in locksim.synth_epr_photocurrents(0.0, 1.0, 1.0, self.GAMMA, None, n / rate, rate, seed):
+                power += np.abs(np.fft.rfft(q.samples)) ** 2 / n
+        power /= records
+        # Over the records, a real bin averages chi-square(1) draws (variance 2),
+        # a complex bin exponential ones (variance 1): 5 standard errors.
+        tolerance = 5.0 * np.sqrt(2.0 / records)
+        np.testing.assert_allclose(power, 1.0, rtol=0.0, atol=tolerance)
+
+    def test_theta_rotates_the_quadratures(self):
+        n, rate = 20000, 1e5
+        quarter_turn = locksim.TimeSeries(rate, np.full(n, math.pi / 2), "rad")
+        q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, quarter_turn, n / rate, rate, 3)
+        # Turned by pi/2, the difference current carries the anti-squeezed quadrature.
+        assert np.var(q_s.samples - q_i.samples) / 2.0 == pytest.approx(81.0, rel=0.1)
+
+    @pytest.mark.parametrize("rate, n", [(2e4, 1000), (1e4, 999), (1e4, 1001)])
+    def test_theta_record_must_match_rate_and_length(self, rate, n):
+        theta = locksim.TimeSeries(rate, np.zeros(n), "rad")
+        with pytest.raises(ValueError, match="theta"):
+            locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 0.1, 1e4, 0)
+
 
 class TestBandRms:
     def test_white_noise_is_unit_ratio(self):
