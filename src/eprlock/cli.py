@@ -12,10 +12,12 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import copy
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -32,6 +34,7 @@ from .model import (
     complex_to_pair,
     config_from_dict,
     db,
+    sample_budget,
     validate_frequency_plan,
 )
 
@@ -247,7 +250,7 @@ def _scan_points(cfg: dict, block: str) -> int:
     points = cfg[block]["points"]
     if points < 1:
         raise ConfigError(f"{block}.points must be at least 1, got {points}")
-    return points
+    return sample_budget(points, f"{block}.points")
 
 
 def _sample_rate(t: np.ndarray) -> float:
@@ -496,40 +499,60 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
     }
 
 
-def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
-    block = cfg["reproduce_fig4"]
-    seed = cfg["run"]["rng_seed"]
+def _fig4_point(block, sys_cfg, seed, k, eps):
+    """One pump point of fig4: (eps, var_minus, var_plus, relative uncertainty).
+
+    Every record it draws dies inside it, and its seeds derive from the run
+    seed and k alone, so points can run in any order or at once.
+    """
     duration, rate = block["duration"], block["rate"]
     f_lo, f_hi = block["band"]
-    points = []
-    for k, eps in enumerate(block["epsilons"]):
-        run_seed = seed + 1000 * (k + 1)
-        theta = locksim.synth_theta_process(
-            block["sigma_theta"], block["theta_cutoff"], duration, rate, run_seed + 1
-        )
-        q_s, q_i = locksim.synth_epr_photocurrents(
-            eps,
-            sys_cfg.detection.eta_s,
-            sys_cfg.detection.eta_i,
-            sys_cfg.cavity.gamma_total,
-            theta,
-            duration,
-            rate,
-            run_seed,
-        )
-        shot = locksim.shot_noise_reference(duration, rate, run_seed + 2)
-        minus = locksim.TimeSeries(rate, (q_s.samples - q_i.samples) / np.sqrt(2.0))
-        plus = locksim.TimeSeries(rate, (q_s.samples + q_i.samples) / np.sqrt(2.0))
-        shot_power = locksim.band_power(shot, f_lo, f_hi)
-        vm = locksim.band_rms(minus, f_lo, f_hi, shot_power)
-        vp = locksim.band_rms(plus, f_lo, f_hi, shot_power)
-        # Relative band-power scatter of the Welch estimate: one over the
-        # square root of (averaged segments x frequency bins in band).
-        nperseg = estimation.default_segment_length(int(duration * rate))
-        n_avg = max(1, 2 * int(duration * rate) // nperseg - 1)
-        n_bins = max(1, int((f_hi - f_lo) * nperseg / rate))
-        rel = 1.0 / np.sqrt(n_avg * n_bins)
-        points.append((eps, vm, vp, rel))
+    run_seed = seed + 1000 * (k + 1)
+    q_s, q_i = locksim.synth_epr_photocurrents(
+        eps,
+        sys_cfg.detection.eta_s,
+        sys_cfg.detection.eta_i,
+        sys_cfg.cavity.gamma_total,
+        locksim.synth_theta_process(block["sigma_theta"], block["theta_cutoff"], duration, rate, run_seed + 1),
+        duration,
+        rate,
+        run_seed,
+    )
+    shot_power = locksim.band_power(locksim.shot_noise_reference(duration, rate, run_seed + 2), f_lo, f_hi)
+    q_s, q_i = q_s.samples, q_i.samples
+    vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / np.sqrt(2.0)), f_lo, f_hi, shot_power)
+    vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / np.sqrt(2.0)), f_lo, f_hi, shot_power)
+    # Relative band-power scatter of the Welch estimate: one over the
+    # square root of (averaged segments x frequency bins in band).
+    nperseg = estimation.default_segment_length(int(duration * rate))
+    n_avg = max(1, 2 * int(duration * rate) // nperseg - 1)
+    n_bins = max(1, int((f_hi - f_lo) * nperseg / rate))
+    return eps, vm, vp, 1.0 / np.sqrt(n_avg * n_bins)
+
+
+def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
+    """fig4's points, computed on up to one thread per usable CPU.
+
+    The points share no data and their time is spent in numpy calls that
+    release the GIL. Results are taken in point order, so the dataset and
+    the first failing point's exception are those of a serial loop.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here: its import would cost every command
+
+    block = cfg["reproduce_fig4"]
+    seed = cfg["run"]["rng_seed"]
+    epsilons = block["epsilons"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), cpus)))
+    try:
+        # A worker thread starts from a fresh context; run() sets np.errstate in this one.
+        futures = [
+            pool.submit(contextvars.copy_context().run, _fig4_point, block, sys_cfg, seed, k, eps)
+            for k, eps in enumerate(epsilons)
+        ]
+        points = [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
     return estimation.SqueezingDataset(points=tuple(points))
 
 

@@ -22,6 +22,9 @@ WINDOWS = ("hann", "rectangular")
 # Upper bound of sigma_Theta during fitting.
 _SIGMA_MAX = 0.5
 
+# Samples per block of Welch segments transformed at once (2 MB of windowed data).
+_WELCH_BLOCK_SAMPLES = 2**18
+
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -123,9 +126,16 @@ def welch_psd(
     else:
         win = np.ones(segment_length)
     segments = sliding_window_view(series.samples, segment_length)[::step]
-    dens = np.abs(np.fft.rfft(segments * win))
-    dens *= dens
-    dens = dens.mean(axis=0)
+    # Periodograms of a few segments at a time, summed row by row in segment
+    # order: the bits of a mean over all of them, without their full batch.
+    rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
+    dens = np.zeros(segment_length // 2 + 1)
+    for start in range(0, len(segments), rows):
+        power = np.abs(np.fft.rfft(segments[start : start + rows] * win))
+        power *= power
+        for row in power:
+            dens += row
+    dens /= len(segments)
     # One-sided density: every bin but DC (and Nyquist, for even lengths)
     # also carries the power of its negative frequency.
     dens /= series.sample_rate * np.sum(win * win)

@@ -50,6 +50,19 @@ def db(linear_variance) -> float:
     return 10.0 * np.log10(linear_variance)
 
 
+# Samples one record (or RK4 trajectory) may hold: 16x fig4's and synth-epr's
+# default 1M-sample records. Past it a run would ask numpy for gigabytes.
+MAX_SAMPLES = 2**24
+
+
+def sample_budget(count: float, what: str) -> int:
+    """``count`` rounded to an int; a ConfigError, before anything is allocated,
+    when it exceeds MAX_SAMPLES or is not a number."""
+    if not count <= MAX_SAMPLES:
+        raise ConfigError(f"{what} = {count:.6g} exceeds the sample budget of {MAX_SAMPLES}")
+    return int(round(count))
+
+
 def _require_finite(name: str, *values) -> None:
     for v in values:
         if not math.isfinite(v):
@@ -155,10 +168,6 @@ class PumpParams:
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
 
-    @property
-    def below_threshold(self) -> bool:
-        return self.epsilon < 1.0
-
 
 @dataclass(frozen=True)
 class SeedParams:
@@ -214,12 +223,6 @@ class PhaseNoiseSpec:
 
 def complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def pair_to_complex(pair) -> complex:
-    re, im = float(pair[0]), float(pair[1])
-    _require_finite("complex amplitude", re, im)
-    return complex(re, im)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .model import (
     PhysicsDomainError,
     PumpParams,
     SeedParams,
+    sample_budget,
 )
 
 CLOSED_FORM_VARIANTS = ("corrected", "paper-literal")
@@ -199,7 +200,7 @@ def integrate_dynamics(
         )
     if t_end < dt:
         raise ValueError("t_end must be at least one step")
-    n_steps = int(round(t_end / dt))
+    n_steps = sample_budget(t_end / dt, "t_end/dt")
     a_s0, a_i0 = complex(initial[0]), complex(initial[1])
     drive = _drive(cavity, seed)
     scale = max(1.0, abs(drive) / gamma, abs(a_s0), abs(a_i0))

@@ -7,6 +7,7 @@ and then asserts.
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -142,6 +143,10 @@ def test_criterion_06_phase_noise_model_agreement():
 
 
 def test_criterion_07_optimal_pump_amplitude():
+    """The timed region includes the first scipy.optimize import of the
+    process, since optimal_epsilon imports it on first use: that is the
+    cost a user pays for one search in a fresh interpreter."""
+    cold = "scipy.optimize" not in sys.modules
     start = time.perf_counter()
     eps_nominal, _ = spectra.optimal_epsilon(0.89, 0.01)
     eps_noisy, _ = spectra.optimal_epsilon(0.89, 0.1)
@@ -150,7 +155,8 @@ def test_criterion_07_optimal_pump_amplitude():
     _verdict(
         7,
         f"optimal pump {eps_nominal:.3f} in [0.7, 0.9] at sigma=10 mrad; "
-        f"drops to {eps_noisy:.3f} < 0.6 at sigma=100 mrad ({elapsed:.2f} s < 1 s)",
+        f"drops to {eps_noisy:.3f} < 0.6 at sigma=100 mrad "
+        f"({elapsed:.2f} s < 1 s{', its first scipy.optimize import included' if cold else ''})",
         ok,
     )
 

@@ -159,6 +159,49 @@ class TestExitCodes:
         assert json.loads(lines[0])["error"] == "numerical"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            (["integrate"], "integrate.t_end_over_gamma=1e9"),
+            (["lock-sim"], "lock_sim.duration=1e9"),
+            (["reproduce", "fig4"], "reproduce_fig4.duration=1e9"),
+            (["reproduce", "fig4"], "reproduce_fig4.rate=1e300"),
+            (["spectra"], "spectra_scan.points=1000000000"),
+        ],
+    )
+    def test_over_the_sample_budget_is_2(self, tmp_path, capsys, command, override):
+        # Each would ask numpy for gigabytes; the budget refuses it first.
+        out = tmp_path / "o"
+        assert cli.main(command + ["--set", override, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "sample budget" in err["message"]
+        assert not out.exists()
+
+    def test_overflow_in_a_fig4_point_is_4(self, tmp_path, capsys, monkeypatch):
+        """The points run on worker threads, which must keep run()'s
+        errstate: an overflow there is exit 4, not a warning."""
+
+        def overflowing_band_power(series, f_lo, f_hi):
+            return float(np.float64(1e308) * np.float64(10.0))
+
+        monkeypatch.setattr(cli.locksim, "band_power", overflowing_band_power)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--out", str(out)])
+        assert code == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["type"] == "FloatingPointError"
+        assert not out.exists()
+
+    def test_first_failing_fig4_point_is_reported(self, tmp_path, capsys):
+        # Points 1 and 3 both fail; a serial loop would stop at point 1.
+        args = ["--set", "reproduce_fig4.epsilons=[0.1, 1.5, 0.2, 2.0]", "--set", "reproduce_fig4.duration=0.05"]
+        assert cli.main(["reproduce", "fig4", *args, "--out", str(tmp_path / "o")]) == 3
+        assert "epsilon = 1.5 " in json.loads(capsys.readouterr().err)["message"]
+
     def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
         code = cli.main(
             ["steady-state", "--set", "frequency_plan.lambda_p=500e-9", "--out", str(tmp_path / "o")]
@@ -319,6 +362,17 @@ class TestReproduceFig3Command:
         )
         header, _ = _read_csv(out / "fig3_theta_psd.csv")
         assert header == ["f", "density"]
+
+
+class TestFig4Points:
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_dataset_is_the_points_in_order(self, seed):
+        """The thread pool returns what a serial loop over the points returns."""
+        cfg = cli.load_config(None, ["reproduce_fig4.duration=0.2", f"run.rng_seed={seed}"])
+        sys_cfg = cli._system_config(cfg)
+        block = cfg["reproduce_fig4"]
+        serial = [cli._fig4_point(block, sys_cfg, seed, k, eps) for k, eps in enumerate(block["epsilons"])]
+        assert cli._fig4_dataset(cfg, sys_cfg).points == tuple(serial)
 
 
 class TestSynthEprCommand:
@@ -489,13 +543,14 @@ class TestWrite:
 class TestImport:
     def test_cli_imports_no_scipy(self, tmp_path):
         """scipy is loaded only where a fit or optimization runs: not by the
-        import, nor by commands that never fit."""
+        import, nor by commands that never fit. concurrent.futures, which only
+        reproduce fig4 uses, is not loaded by the import either."""
         path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         code = (
             "import sys, eprlock.cli as cli\n"
             "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy())\n"
+            "print(scipy(), 'concurrent.futures' in sys.modules)\n"
             "out = sys.argv[1]\n"
             "assert cli.main(['steady-state', '--out', out + '/s']) == 0\n"
             "assert cli.main(['lock-sim', '--set', 'lock_sim.duration=0.05', '--out', out + '/l']) == 0\n"
@@ -504,7 +559,7 @@ class TestImport:
         proc = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout.splitlines() == ["[]", "[]"]
+        assert proc.stdout.splitlines() == ["[] False", "[]"]
 
 
 class TestReproducibility:

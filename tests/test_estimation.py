@@ -78,6 +78,29 @@ class TestWelchPsd:
         np.testing.assert_allclose(psd.densities, dens, rtol=1e-12, atol=0.0)
 
 
+    @pytest.mark.parametrize("window", estimation.WINDOWS)
+    @pytest.mark.parametrize("extra_segments", [-1, 0, 1, 65])
+    def test_blocks_match_the_one_batch_mean(self, window, extra_segments):
+        """Blocked periodograms give the bits of one (segments x nperseg) batch
+        averaged over axis 0, for segment counts around the block size."""
+        nperseg, step = 4096, 2048
+        rows = estimation._WELCH_BLOCK_SAMPLES // nperseg
+        count = rows + extra_segments
+        x = np.random.default_rng(count).standard_normal(nperseg + (count - 1) * step)
+        psd = estimation.welch_psd(TimeSeries(1e4, x), nperseg, 0.5, window)
+
+        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(nperseg) / nperseg)
+        win = hann if window == "hann" else np.ones(nperseg)
+        segments = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::step]
+        assert len(segments) == count
+        dens = np.abs(np.fft.rfft(segments * win))
+        dens *= dens
+        dens = dens.mean(axis=0)
+        dens /= 1e4 * np.sum(win * win)
+        dens[1:-1] *= 2.0
+        np.testing.assert_array_equal(psd.densities, dens)
+
+
 class TestIntegratePsd:
     def test_band_scaling(self):
         psd = estimation.welch_psd(_white())

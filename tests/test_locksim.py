@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprlock.model import PhysicsDomainError
+from eprlock.model import MAX_SAMPLES, ConfigError, PhysicsDomainError
 from eprlock.nopo import LockFieldState
-from eprlock import kernels, locksim
+from eprlock import kernels, locksim, spectra
 
 
 class TestTimeSeries:
@@ -219,8 +219,54 @@ class TestOnePoleLowpass:
             kernels.one_pole_lowpass(np.ones(4), alpha)
 
 
+def _reference_synth_epr(epsilon, eta_s, eta_i, gamma, theta, duration, rate, rng_seed, dark_noise=False):
+    """synth_epr_photocurrents as plain array expressions, before its buffers
+    were reused in place; the records must keep these bits."""
+    n = int(round(duration * rate))
+    rng = np.random.default_rng(rng_seed)
+    m = n // 2 + 1
+    real_bins = [0, m - 1] if n % 2 == 0 else [0]
+    omega = np.fft.rfftfreq(n, d=1.0 / rate) / gamma
+    gain = {sign: np.sqrt(spectra.two_mode_variance(epsilon, 1.0, omega, sign) * (n / 2.0)) for sign in spectra.SIGNS}
+
+    def record(sign):
+        spectrum = rng.standard_normal(2 * m).view(complex)
+        spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
+        spectrum *= gain[sign]
+        return np.fft.irfft(spectrum, n)
+
+    q_minus, q_plus = record("minus"), record("plus")
+    if theta is not None:
+        c, s = np.cos(theta.samples), np.sin(theta.samples)
+        q_minus = q_minus * c + record("plus") * s
+        q_plus = q_plus * c + record("minus") * s
+
+    q_s = (q_plus + q_minus) / math.sqrt(2.0)
+    q_i = (q_plus - q_minus) / math.sqrt(2.0)
+    q_s = math.sqrt(eta_s) * q_s + math.sqrt(1.0 - eta_s) * rng.standard_normal(n)
+    q_i = math.sqrt(eta_i) * q_i + math.sqrt(1.0 - eta_i) * rng.standard_normal(n)
+    if dark_noise:
+        dark = 10.0 ** (-locksim.DARK_NOISE_CLEARANCE_DB / 20.0)
+        q_s = q_s + dark * rng.standard_normal(n)
+        q_i = q_i + dark * rng.standard_normal(n)
+    return q_s, q_i
+
+
 class TestSynthEprPhotocurrents:
     GAMMA = 15e6
+
+    @pytest.mark.parametrize("n", [2, 3, 1000, 1001])
+    @pytest.mark.parametrize("with_theta", [False, True])
+    @pytest.mark.parametrize("eta_s, eta_i", [(0.89, 0.89), (0.95, 0.7), (1.0, 0.0)])
+    @pytest.mark.parametrize("dark_noise", [False, True])
+    def test_bits_match_the_expression_form(self, n, with_theta, eta_s, eta_i, dark_noise):
+        rate = 1e4
+        theta = locksim.synth_theta_process(0.05, 200.0, n / rate, rate, 9) if with_theta else None
+        args = (0.6, eta_s, eta_i, self.GAMMA, theta, n / rate, rate, 21)
+        got = locksim.synth_epr_photocurrents(*args, dark_noise=dark_noise)
+        ref = _reference_synth_epr(*args, dark_noise=dark_noise)
+        for q, r in zip(got, ref):
+            np.testing.assert_array_equal(q.samples, r)
 
     def test_reproducibility(self):
         a = locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, None, 0.5, 1e5, 42)
@@ -276,6 +322,18 @@ class TestSynthEprPhotocurrents:
         theta = locksim.TimeSeries(rate, np.zeros(n), "rad")
         with pytest.raises(ValueError, match="theta"):
             locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 0.1, 1e4, 0)
+
+
+class TestSampleBudget:
+    @pytest.mark.parametrize("duration, rate", [(MAX_SAMPLES / 1e4 + 1.0, 1e4), (1e300, 1e300)])
+    def test_records_past_the_budget_are_refused(self, duration, rate):
+        with pytest.raises(ConfigError, match="sample budget"):
+            locksim.synth_theta_process(0.01, 200.0, duration, rate, 0)
+        with pytest.raises(ConfigError, match="sample budget"):
+            locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, 15e6, None, duration, rate, 0)
+
+    def test_budget_is_inclusive(self):
+        assert locksim._sample_count(MAX_SAMPLES / 1e4, 1e4) == MAX_SAMPLES
 
 
 class TestBandRms:

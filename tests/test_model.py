@@ -14,10 +14,8 @@ from eprlock.model import (
     PhysicsDomainError,
     PumpParams,
     SeedParams,
-    complex_to_pair,
     config_from_dict,
     db,
-    pair_to_complex,
     validate_frequency_plan,
     wrap_phase,
 )
@@ -89,10 +87,6 @@ class TestCavityParams:
 
 
 class TestPumpParams:
-    def test_below_threshold_flag(self):
-        assert PumpParams(epsilon=0.8).below_threshold
-        assert not PumpParams(epsilon=1.0).below_threshold
-
     def test_above_threshold_constructible(self):
         # epsilon >= 1 is a valid configuration (divergent dynamics are
         # diagnosed downstream), only negative pump amplitude is rejected.
@@ -153,16 +147,6 @@ class TestNonFiniteFieldsRejected:
         raw = {**DEFAULT_CONFIG, "pump": {"epsilon": math.nan}}
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(raw)
-
-
-class TestComplexPair:
-    def test_round_trip(self):
-        z = 1.25 - 0.5j
-        assert pair_to_complex(complex_to_pair(z)) == z
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            pair_to_complex([float("nan"), 0.0])
 
 
 def _valid_raw():

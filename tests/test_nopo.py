@@ -13,6 +13,7 @@ from eprlock import kernels
 from eprlock.model import (
     AboveThresholdError,
     CavityParams,
+    ConfigError,
     NumericalError,
     PhysicsDomainError,
     PumpParams,
@@ -177,6 +178,13 @@ class TestIntegrateDynamics:
             nopo.integrate_dynamics(
                 _symmetric_cavity(), PumpParams(epsilon=0.5), SeedParams(alpha_cl=1.0),
                 t_end=10.0, dt=0.5,
+            )
+
+    @pytest.mark.parametrize("t_end, dt", [(1e9, 0.05), (1e308, 1e-300)])
+    def test_step_count_past_the_sample_budget_is_refused(self, t_end, dt):
+        with pytest.raises(ConfigError, match="sample budget"):
+            nopo.integrate_dynamics(
+                _symmetric_cavity(), PumpParams(epsilon=0.5), SeedParams(alpha_cl=1.0), t_end=t_end, dt=dt
             )
 
     def test_trajectory_shape(self):
