@@ -322,7 +322,7 @@ def _cmd_integrate(cfg, sys_cfg, input_path):
 def _spectra_table(sys_cfg, omega, f_hz=None):
     """Squeezing/anti-squeezing spectra on ``omega``, with an optional leading f_hz column."""
     eps = sys_cfg.pump.epsilon
-    eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
+    eta = sys_cfg.detection.eta
     vm = spectra.two_mode_variance(eps, eta, omega, "minus")
     vp = spectra.two_mode_variance(eps, eta, omega, "plus")
     header = ["omega_norm", "var_minus", "var_plus", "var_minus_db", "var_plus_db"]
@@ -341,7 +341,7 @@ def _cmd_spectra(cfg, sys_cfg, input_path):
 def _cmd_sweep(cfg, sys_cfg, input_path):
     block = cfg["sweep_scan"]
     eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], _scan_points(cfg, "sweep_scan"))
-    eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
+    eta = sys_cfg.detection.eta
     sigma = sys_cfg.phase_noise.sigma_theta
     vm = spectra.two_mode_variance(eps_grid, eta, 0.0, "minus")
     vp = spectra.two_mode_variance(eps_grid, eta, 0.0, "plus")
@@ -352,7 +352,7 @@ def _cmd_sweep(cfg, sys_cfg, input_path):
 
 def _cmd_duan_simon(cfg, sys_cfg, input_path):
     eps = sys_cfg.pump.epsilon
-    eta = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
+    eta = sys_cfg.detection.eta
     vm = spectra.two_mode_variance(eps, eta, 0.0, "minus")
     vp = spectra.two_mode_variance(eps, eta, 0.0, "plus")
     vp_orth = spectra.orthogonal_variance(vp, vm, "plus")
@@ -507,6 +507,7 @@ def _fig4_point(block, sys_cfg, seed, k, eps):
     """
     duration, rate = block["duration"], block["rate"]
     f_lo, f_hi = block["band"]
+    g = sys_cfg.detection.idler_weight
     run_seed = seed + 1000 * (k + 1)
     q_s, q_i = locksim.synth_epr_photocurrents(
         eps,
@@ -519,9 +520,13 @@ def _fig4_point(block, sys_cfg, seed, k, eps):
         run_seed,
     )
     shot_power = locksim.band_power(locksim.shot_noise_reference(duration, rate, run_seed + 2), f_lo, f_hi)
+    # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
+    # detection.eta exactly; q_i is weighted in place.
     q_s, q_i = q_s.samples, q_i.samples
-    vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / np.sqrt(2.0)), f_lo, f_hi, shot_power)
-    vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / np.sqrt(2.0)), f_lo, f_hi, shot_power)
+    q_i *= g
+    norm = np.sqrt(1.0 + g * g)
+    vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
+    vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
     # Relative band-power scatter of the Welch estimate: one over the
     # square root of (averaged segments x frequency bins in band).
     nperseg = estimation.default_segment_length(int(duration * rate))
@@ -567,7 +572,7 @@ def _cmd_reproduce_fig4(cfg, sys_cfg, input_path):
     )
     payload = asdict(result)
     payload["injected_sigma_theta"] = block["sigma_theta"]
-    payload["injected_eta"] = 0.5 * (sys_cfg.detection.eta_s + sys_cfg.detection.eta_i)
+    payload["injected_eta"] = sys_cfg.detection.eta
     return {
         "fig4_dataset.csv": (["epsilon", "var_minus", "var_plus", "uncert"], list(zip(*dataset.points))),
         "fig4_fit.json": payload,

@@ -219,28 +219,38 @@ def fit_phase_noise_model(
     Bounded trust-region least squares (eta in [0, 1], sigma_Theta in
     [0, 0.5]) with 9 multi-starts on a parameter grid. Uncertainties come
     from the Jacobian at the optimum, cross-checked by a seeded bootstrap
-    over data points (the larger of the two is reported).
+    over data points (the larger of the two is reported). A sigma_Theta
+    pinned at 0 reports the one-sided bound sqrt(w_err) of w = sigma_Theta^2.
     """
     if len(data.points) < 4:
         raise ValueError("need at least 4 data points")
     eps, vm, vp, unc = data.epsilons, data.var_minus, data.var_plus, data.uncertainties
 
     starts = [(e, s) for e in (0.6, 0.8, 0.95) for s in (0.002, 0.01, 0.05)]
-    best, converged = _best_fit(_residual_fn(eps, vm, vp, unc, omega_norm, mode), starts)
+    residuals = _residual_fn(eps, vm, vp, unc, omega_norm, mode)
+    best, converged = _best_fit(residuals, starts)
     eta_hat, sigma_hat = map(float, best.x)
     r_opt = best.fun
     residual_norm = float(np.linalg.norm(r_opt))
-    at_boundary = sigma_hat < 1e-4 * _SIGMA_MAX or sigma_hat > (1.0 - 1e-4) * _SIGMA_MAX
+    at_zero = sigma_hat < 1e-4 * _SIGMA_MAX
+    at_boundary = at_zero or sigma_hat > (1.0 - 1e-4) * _SIGMA_MAX
 
     dof = max(r_opt.size - 2, 1)
     s2 = float(r_opt @ r_opt) / dof
     try:
         cov = s2 * np.linalg.inv(best.jac.T @ best.jac)
+        eta_err, sigma_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
+        if at_zero:
+            # The model is even in sigma, so its Jacobian column vanishes at 0;
+            # in w = sigma^2 it does not. Report the one-sided bound sqrt(w_err).
+            dw = 1e-6
+            w_col = (residuals([eta_hat, math.sqrt(sigma_hat**2 + dw)]) - r_opt) / dw
+            jac = np.column_stack([best.jac[:, 0], w_col])
+            sigma_err = math.sqrt(math.sqrt(max(s2 * np.linalg.inv(jac.T @ jac)[1, 1], 0.0)))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("the data do not determine (eta, sigma_Theta): J^T J is singular") from exc
-    eta_err, sigma_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
     # An error wider than the parameter's bounded range: the data do not fix it. A sigma_Theta
-    # at its bound is exempt, since the model is even in sigma (zero Jacobian column at 0).
+    # at a bound is exempt: its error is one-sided.
     if eta_err > 1.0 or (sigma_err > _SIGMA_MAX and not at_boundary):
         msg = f"1-sigma errors {eta_err:.3g}, {sigma_err:.3g} against bound widths 1, {_SIGMA_MAX}"
         raise NumericalError(f"the data do not determine (eta, sigma_Theta): {msg}")

@@ -184,7 +184,9 @@ class SeedParams:
 
 @dataclass(frozen=True)
 class DetectionParams:
-    """Homodyne detection efficiencies of the signal and idler arms."""
+    """Homodyne efficiencies of the signal and idler arms, and the one loss
+    model: the joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2), g = ``idler_weight``,
+    see the per-arm losses exactly as the one efficiency ``eta``."""
 
     eta_s: float
     eta_i: float
@@ -195,6 +197,23 @@ class DetectionParams:
             eta = getattr(self, name)
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+
+    @property
+    def eta(self) -> float:
+        """Harmonic mean 2 eta_s eta_i/(eta_s + eta_i), 0 for a dead arm. As
+        k*(k/mean), k = sqrt(eta_s*eta_i), equal arms keep their bits (down to
+        1e-154, where eta_s*eta_i underflows)."""
+        k = math.sqrt(self.eta_s * self.eta_i)
+        return k * (k / ((self.eta_s + self.eta_i) / 2.0)) if k else 0.0
+
+    @property
+    def idler_weight(self) -> float:
+        """Gain sqrt(eta_s/eta_i) on the idler current that cancels the
+        anti-squeezing leak (sqrt(eta_s) - g sqrt(eta_i))^2/(1 + g^2)."""
+        for name in ("eta_s", "eta_i"):
+            if getattr(self, name) == 0.0:
+                raise PhysicsDomainError(f"detection.{name} = 0: a dead arm has no joint quadratures")
+        return math.sqrt(self.eta_s / self.eta_i)
 
 
 @dataclass(frozen=True)

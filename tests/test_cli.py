@@ -202,6 +202,18 @@ class TestExitCodes:
         assert cli.main(["reproduce", "fig4", *args, "--out", str(tmp_path / "o")]) == 3
         assert "epsilon = 1.5 " in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("dead, live", [("eta_s", "eta_i"), ("eta_i", "eta_s")])
+    def test_fig4_with_a_dead_arm_is_3(self, tmp_path, capsys, dead, live):
+        out = tmp_path / "o"
+        args = ["--set", f"detection.{dead}=0", "--set", f"detection.{live}=0.9"]
+        assert cli.main(["reproduce", "fig4", *args, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["type"] == "PhysicsDomainError"
+        assert f"detection.{dead} = 0" in err["message"]
+        assert not out.exists()
+
     def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
         code = cli.main(
             ["steady-state", "--set", "frequency_plan.lambda_p=500e-9", "--out", str(tmp_path / "o")]
@@ -333,6 +345,73 @@ class TestSpectraCommands:
         assert data[0, 0] == 5e3 and data[-1, 0] == 1.7e4
         # anti-squeezing stays within a fraction of a dB of its DC value over the band
         assert np.all(data[:, 5] > 18.0)
+
+
+@pytest.mark.parametrize("arms", [(0.0, 0.9), (0.9, 0.0), (0.0, 0.0)])
+class TestDeadArmIsShotNoise:
+    """With an arm at 0 the one efficiency is 0: every analytic row is shot noise."""
+
+    @staticmethod
+    def _run(tmp_path, command, arms):
+        out = tmp_path / "run"
+        args = ["--set", f"detection.eta_s={arms[0]}", "--set", f"detection.eta_i={arms[1]}"]
+        assert cli.main([*command, *args, "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "command, artifact, columns",
+        [
+            (["spectra"], "spectra.csv", [1, 2]),
+            (["sweep"], "sweep.csv", [1, 2]),
+            (["reproduce", "fig5"], "fig5_spectra.csv", [2, 3]),
+        ],
+    )
+    def test_tables(self, tmp_path, arms, command, artifact, columns):
+        _, data = _read_csv(self._run(tmp_path, command, arms) / artifact)
+        np.testing.assert_allclose(data[:, columns], 1.0, rtol=1e-15)
+
+    def test_duan_simon(self, tmp_path, arms):
+        payload = _read_json(self._run(tmp_path, ["duan-simon"], arms) / "duan_simon.json")
+        assert payload["sum"] == 2.0
+        assert payload["entangled"] is False
+
+
+class TestUnequalArms:
+    def test_spectra_use_the_harmonic_mean(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["--set", "detection.eta_s=0.95", "--set", "detection.eta_i=0.75", "--set", "pump.epsilon=0.8"]
+        assert cli.main(["spectra", *args, "--out", str(out)]) == 0
+        _, data = _read_csv(out / "spectra.csv")
+        # The mean efficiency 0.85 would read -7.95 dB.
+        assert data[0, 3] == pytest.approx(-7.64, abs=0.01)
+
+    @pytest.mark.parametrize("eta_s, eta_i", [(0.95, 0.75), (0.99, 0.6)])
+    def test_fig4_recovers_the_injected_phase_noise(self, tmp_path, eta_s, eta_i):
+        """Weighting the idler cancels the arm imbalance that the mean
+        efficiency read as 60 and 124 mrad of phase noise."""
+        out = tmp_path / "run"
+        args = ["--seed", "12345", "--set", f"detection.eta_s={eta_s}", "--set", f"detection.eta_i={eta_i}"]
+        assert cli.main(["reproduce", "fig4", *args, "--out", str(out)]) == 0
+        fit = _read_json(out / "fig4_fit.json")
+        assert fit["injected_eta"] == pytest.approx(2 * eta_s * eta_i / (eta_s + eta_i), rel=1e-15)
+        assert abs(fit["sigma_hat"] - fit["injected_sigma_theta"]) <= 0.003
+        assert abs(fit["eta_hat"] - fit["injected_eta"]) <= 0.02
+
+
+class TestFig4AtZeroPhaseNoise:
+    def test_a_pinned_sigma_reports_a_finite_error(self, tmp_path):
+        """A sigma_hat pinned at 0 reported sigma_err of 948-1652 rad; the
+        one-sided bound in sigma^2 is a few mrad."""
+        pinned = {}
+        for seed in range(100, 112):
+            out = tmp_path / str(seed)
+            args = ["--seed", str(seed), "--set", "reproduce_fig4.sigma_theta=0", "--set", "reproduce_fig4.n_bootstrap=0"]
+            assert cli.main(["reproduce", "fig4", *args, "--out", str(out)]) == 0
+            fit = _read_json(out / "fig4_fit.json")
+            if fit["at_boundary"]:
+                pinned[seed] = fit["sigma_err"]
+        assert pinned
+        assert max(pinned.values()) < 0.05, pinned
 
 
 class TestLockSimCommand:

@@ -193,6 +193,16 @@ class TestFitPhaseNoiseModel:
         assert fit.sigma_hat < 1e-3
         assert fit.at_boundary
 
+    @pytest.mark.parametrize("mode", spectra.PHASE_NOISE_MODES)
+    def test_sigma_pinned_at_zero_reports_a_one_sided_bound(self, mode):
+        """The model is even in sigma, so its Jacobian column vanishes at 0
+        (sigma_err read ~1e3 rad); the bound sqrt(w_err) of w = sigma^2 does not."""
+        for seed in range(4):
+            ds = _synthetic_dataset(0.89, 0.0, EPS_GRID, rel_unc=0.01, noise_seed=seed)
+            fit = estimation.fit_phase_noise_model(ds, mode=mode, n_bootstrap=0)
+            assert fit.at_boundary
+            assert 1e-3 < fit.sigma_err < 0.05
+
     def test_zero_uncertainty_uses_log_weighting(self):
         ds = _synthetic_dataset(0.89, 0.01, EPS_GRID, rel_unc=0.0)
         fit = estimation.fit_phase_noise_model(ds, n_bootstrap=0)

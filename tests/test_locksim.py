@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprlock.model import MAX_SAMPLES, ConfigError, PhysicsDomainError
+from eprlock.model import MAX_SAMPLES, ConfigError, DetectionParams, PhysicsDomainError
 from eprlock.nopo import LockFieldState
-from eprlock import kernels, locksim, spectra
+from eprlock import estimation, kernels, locksim, spectra
 
 
 class TestTimeSeries:
@@ -283,6 +283,27 @@ class TestSynthEprPhotocurrents:
         vp = locksim.band_rms(plus, 5e3, 1.5e4, shot)
         assert vm == pytest.approx(1.0 / 81.0, rel=0.15)  # (1-eps)^2/(1+eps)^2 near DC
         assert vp == pytest.approx(81.0, rel=0.15)
+
+    @pytest.mark.parametrize("eta_s, eta_i", [(0.95, 0.75), (0.6, 0.99)])
+    def test_weighted_records_follow_the_one_loss_model(self, eta_s, eta_i):
+        """The synthesizer mixes vacuum into each arm on its own, so it checks
+        the analytic identity independently: with the idler weighted by
+        idler_weight, the band variance is two_mode_variance at the one eta."""
+        eps, duration, rate, f_lo, f_hi = 0.8, 2.0, 2e5, 5e3, 1.5e4
+        detection = DetectionParams(eta_s=eta_s, eta_i=eta_i)
+        g = detection.idler_weight
+        q_s, q_i = locksim.synth_epr_photocurrents(eps, eta_s, eta_i, self.GAMMA, None, duration, rate, 11)
+        shot = locksim.band_power(locksim.shot_noise_reference(duration, rate, 12), f_lo, f_hi)
+        # Relative scatter of a ratio of two band powers: sqrt(2) over
+        # sqrt(averaged segments x bins in band).
+        n = int(duration * rate)
+        nperseg = estimation.default_segment_length(n)
+        scatter = math.sqrt(2.0 / ((2 * n // nperseg - 1) * int((f_hi - f_lo) * nperseg / rate)))
+        omega = 0.5 * (f_lo + f_hi) / self.GAMMA
+        for sign, s in (("minus", -1.0), ("plus", 1.0)):
+            joint = locksim.TimeSeries(rate, (q_s.samples + s * g * q_i.samples) / math.sqrt(1.0 + g * g))
+            expected = spectra.two_mode_variance(eps, detection.eta, omega, sign)
+            assert locksim.band_rms(joint, f_lo, f_hi, shot) == pytest.approx(expected, rel=5.0 * scatter)
 
     def test_dark_noise_raises_floor(self):
         clean = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 2.0, 1e5, 5)

@@ -108,6 +108,28 @@ class TestDetectionParams:
         with pytest.raises(ValueError):
             DetectionParams(eta_s=0.9, eta_i=-0.1)
 
+    # Down to 1e-154, where eta*eta leaves the normal floats.
+    @pytest.mark.parametrize("eta", [0.0, 1e-150, 1e-9, 0.1, 0.3, 0.7, 0.89, 1.0 - 1e-16, 1.0])
+    def test_equal_arms_keep_their_efficiency_bit_for_bit(self, eta):
+        detection = DetectionParams(eta_s=eta, eta_i=eta)
+        assert detection.eta == eta
+        if eta:
+            assert detection.idler_weight == 1.0
+
+    def test_harmonic_mean_and_weight(self):
+        detection = DetectionParams(eta_s=0.95, eta_i=0.75)
+        assert detection.eta == pytest.approx(2 * 0.95 * 0.75 / 1.7, rel=1e-15)
+        assert detection.idler_weight == pytest.approx(math.sqrt(0.95 / 0.75), rel=1e-15)
+        swapped = DetectionParams(eta_s=0.75, eta_i=0.95)
+        assert swapped.eta == pytest.approx(detection.eta, rel=1e-15)
+
+    @pytest.mark.parametrize("eta_s, eta_i, dead", [(0.0, 0.9, "eta_s"), (0.9, 0.0, "eta_i"), (0.0, 0.0, "eta_s")])
+    def test_a_dead_arm_has_no_loss_and_no_weight(self, eta_s, eta_i, dead):
+        detection = DetectionParams(eta_s=eta_s, eta_i=eta_i)
+        assert detection.eta == 0.0
+        with pytest.raises(PhysicsDomainError, match=f"detection.{dead} = 0"):
+            detection.idler_weight
+
 
 class TestPhaseNoiseSpec:
     def test_uncorrelated_common_mode(self):

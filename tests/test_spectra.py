@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eprlock.model import NumericalError, PhaseNoiseSpec, PhysicsDomainError, db
+from eprlock.model import DetectionParams, PhaseNoiseSpec, PhysicsDomainError, db
 from eprlock import spectra
 
 # Frozen values at the epsilon = 0.8, eta = 0.89 operating point, zero frequency:
@@ -50,11 +50,6 @@ class TestTwoModeVariance:
             vp = spectra.two_mode_variance(eps, 1.0, w, "plus")
             assert abs(vm * vp - 1.0) < 1e-12
 
-    def test_paper_literal_variant_caps_antisqueezing(self):
-        vp = spectra.two_mode_variance(0.8, 1.0, 0.0, "plus", variant="paper-literal")
-        assert vp == pytest.approx(1.0 + 3.2 / 3.24, abs=1e-12)
-        assert db(vp) < 3.0
-
     def test_domain_checks(self):
         with pytest.raises(PhysicsDomainError):
             spectra.two_mode_variance(1.0, 0.89, 0.0, "minus")
@@ -73,13 +68,12 @@ BAD_EPS = st.one_of(
 
 
 class TestTwoModeVarianceBroadcast:
-    @pytest.mark.parametrize("variant", spectra.VARIANTS)
     @pytest.mark.parametrize("sign", spectra.SIGNS)
     @settings(max_examples=100, deadline=None)
     @given(eps=EPS_ARRAYS, eta=st.floats(0.0, 1.0), omega=st.floats(0.0, 1e3))
-    def test_array_equals_scalar_calls(self, sign, variant, eps, eta, omega):
-        out = spectra.two_mode_variance(eps, eta, omega, sign, variant)
-        expected = [spectra.two_mode_variance(float(e), eta, omega, sign, variant) for e in eps]
+    def test_array_equals_scalar_calls(self, sign, eps, eta, omega):
+        out = spectra.two_mode_variance(eps, eta, omega, sign)
+        expected = [spectra.two_mode_variance(float(e), eta, omega, sign) for e in eps]
         assert out.shape == eps.shape
         np.testing.assert_array_equal(out, expected)
 
@@ -150,60 +144,44 @@ class TestDuanSimon:
             spectra.duan_simon(0.0, 1.0)
 
 
-class TestCovarianceModel:
-    def test_symmetric_losses_reduce_to_scalar_formula(self):
-        eps, eta = 0.8, 0.89
-        model = spectra.build_covariance_model(eps, eta, eta)
-        vm = spectra.weighted_variance(model, 1.0, "minus")
-        vp = spectra.weighted_variance(model, 1.0, "plus")
-        assert vm == pytest.approx(spectra.two_mode_variance(eps, eta, 0.0, "minus"), rel=1e-12)
-        assert vp == pytest.approx(spectra.two_mode_variance(eps, eta, 0.0, "plus"), rel=1e-12)
-
-    def test_p_sector_mirrors_with_flipped_correlation(self):
-        model = spectra.build_covariance_model(0.6, 0.9, 0.7)
-        assert model.vp_s == model.vx_s
-        assert model.vp_i == model.vx_i
-        assert model.c_p == -model.c_x
-
-    def test_cauchy_schwarz_guard(self):
-        with pytest.raises(ValueError):
-            spectra.CovarianceModel(vx_s=1.0, vx_i=1.0, c_x=1.5, vp_s=1.0, vp_i=1.0, c_p=0.0)
-
-    def test_efficiency_domain(self):
-        with pytest.raises(PhysicsDomainError):
-            spectra.build_covariance_model(0.5, 1.2, 0.9)
+def _per_arm_weighted_variance(eps, eta_s, eta_i, omega, sign):
+    """Reference per-arm loss model, independent of DetectionParams.eta: each
+    arm mixes with vacuum on its own, then the idler is weighted by g."""
+    v_minus = spectra.two_mode_variance(eps, 1.0, omega, "minus")
+    v_plus = spectra.two_mode_variance(eps, 1.0, omega, "plus")
+    v, c = 0.5 * (v_plus + v_minus), 0.5 * (v_plus - v_minus)
+    v_s, v_i = 1.0 + eta_s * (v - 1.0), 1.0 + eta_i * (v - 1.0)
+    c_lossy = math.sqrt(eta_s * eta_i) * c
+    # (q_s +- g q_i)/sqrt(1 + g^2) = cos(t) q_s +- sin(t) q_i with tan(t) = g:
+    # finite even where g^2 overflows (an idler arm of a few 1e-308).
+    t = math.atan(DetectionParams(eta_s=eta_s, eta_i=eta_i).idler_weight)
+    s = 1.0 if sign == "plus" else -1.0
+    return math.cos(t) ** 2 * v_s + math.sin(t) ** 2 * v_i + s * 2.0 * math.cos(t) * math.sin(t) * c_lossy
 
 
-class TestOptimizeCombination:
-    def test_symmetric_optimum_is_unit_weight(self):
-        model = spectra.build_covariance_model(0.8, 0.89, 0.89)
-        opt = spectra.optimize_combination(model, "minus")
-        assert opt.g_star == pytest.approx(1.0, abs=1e-9)
-        assert not opt.no_correlation
-        assert opt.var_star == pytest.approx(spectra.two_mode_variance(0.8, 0.89, 0.0, "minus"), rel=1e-9)
+ARM = st.floats(0.0, 1.0, exclude_min=True)
 
-    def test_asymmetric_optimum_beats_unit_weight(self):
-        model = spectra.build_covariance_model(0.8, 0.95, 0.55)
-        opt = spectra.optimize_combination(model, "minus")
-        assert opt.var_star < spectra.weighted_variance(model, 1.0, "minus")
-        # matches a dense grid search
-        grid = np.linspace(0.05, 3.0, 20001)
-        vals = [spectra.weighted_variance(model, g, "minus") for g in grid]
-        assert opt.var_star <= min(vals) + 1e-10
 
-    def test_zero_correlation_flagged(self):
-        model = spectra.build_covariance_model(0.0, 0.9, 0.9)
-        opt = spectra.optimize_combination(model, "minus")
-        assert opt.no_correlation
-        assert opt.g_star == 1.0
+class TestOneLossModel:
+    @pytest.mark.parametrize("sign", spectra.SIGNS)
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.0, 0.99), omega=st.floats(0.0, 100.0), eta_s=ARM, eta_i=ARM)
+    def test_weighted_per_arm_loss_is_the_symmetric_formula(self, sign, eps, omega, eta_s, eta_i):
+        eta = DetectionParams(eta_s=eta_s, eta_i=eta_i).eta
+        expected = spectra.two_mode_variance(eps, eta, omega, sign)
+        assert _per_arm_weighted_variance(eps, eta_s, eta_i, omega, sign) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12
+        )
 
-    def test_anticorrelated_sign_falls_back_to_boundary(self):
-        # Minimizing the "plus" combination in the correlated x sector: the
-        # interior stationary point is a maximum, the optimum hugs a boundary.
-        model = spectra.build_covariance_model(0.8, 0.89, 0.89)
-        opt = spectra.optimize_combination(model, "plus")
-        assert opt.var_star <= spectra.weighted_variance(model, 1.0, "plus")
-        assert opt.g_star < 0.01 or opt.g_star > 100.0
+    def test_unit_weight_leaks_antisqueezing_at_unequal_arms(self):
+        # The unweighted difference at 0.99/0.6 is not squeezed at all.
+        eta_s, eta_i = 0.99, 0.6
+        vm = spectra.two_mode_variance(0.8, 1.0, 0.0, "minus")
+        vp = spectra.two_mode_variance(0.8, 1.0, 0.0, "plus")
+        v, c = 0.5 * (vp + vm), 0.5 * (vp - vm)
+        unweighted = (2.0 + (eta_s + eta_i) * (v - 1.0) - 2.0 * math.sqrt(eta_s * eta_i) * c) / 2.0
+        assert unweighted > 1.0
+        assert _per_arm_weighted_variance(0.8, eta_s, eta_i, 0.0, "minus") < 0.3
 
 
 class TestOptimalEpsilon:
