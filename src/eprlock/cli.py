@@ -17,6 +17,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -524,7 +525,7 @@ def _fig4_point(block, sys_cfg, seed, k, eps):
     # detection.eta exactly; q_i is weighted in place.
     q_s, q_i = q_s.samples, q_i.samples
     q_i *= g
-    norm = np.sqrt(1.0 + g * g)
+    norm = math.hypot(1.0, g)
     vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
     vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
     # Relative band-power scatter of the Welch estimate: one over the

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import NumericalError, TimeSeries
-from .spectra import phase_noise_variance, two_mode_variance
+from .spectra import phase_noise_weight, two_mode_variance
 
 WINDOWS = ("hann", "rectangular")
 
@@ -50,8 +50,9 @@ class SqueezingDataset:
     ``uncertainty`` is the relative 1-sigma measurement uncertainty shared
     by both branches of the point (the squeezed and anti-squeezed variances
     differ by orders of magnitude, so a single absolute error bar cannot
-    describe both). Zero means "unknown"; the fit then weights equally on
-    log-variance.
+    describe both). Zero means "unknown": if any point has it, the fit
+    gives every point the same relative uncertainty, whose value the
+    residual-variance scaling of the errors cancels.
     """
 
     points: tuple
@@ -92,6 +93,7 @@ class FitResult:
     eta_err: float
     sigma_err: float
     residual_norm: float
+    # Always true: the closed-form solve cannot stop short. Kept for readers of fit.json.
     converged: bool
     at_boundary: bool = False
 
@@ -172,39 +174,49 @@ def apply_calibration(series: TimeSeries, beta: float) -> TimeSeries:
     )
 
 
-def _model_variances(eps: np.ndarray, eta: float, sigma: float, omega_norm: float, mode: str):
-    vm = two_mode_variance(eps, eta, omega_norm, "minus")
-    vp = two_mode_variance(eps, eta, omega_norm, "plus")
-    return phase_noise_variance(vm, vp, sigma, mode), phase_noise_variance(vp, vm, sigma, mode)
+def _affine_design(eps: np.ndarray, omega_norm: float) -> np.ndarray:
+    """Columns of the model in (a, b) = (eta, eta*w), w = ``phase_noise_weight``.
+
+    With V -+ the unit-efficiency variances, the measured pair is
+    var_minus = 1 + a (V- - 1) + b (V+ - V-) and
+    var_plus = 1 + a (V+ - 1) + b (V- - V+): the rows of the returned
+    (2n, 2) matrix, var_minus rows first.
+    """
+    v_minus = two_mode_variance(eps, 1.0, omega_norm, "minus")
+    v_plus = two_mode_variance(eps, 1.0, omega_norm, "plus")
+    return np.column_stack(
+        [np.concatenate([v_minus - 1.0, v_plus - 1.0]), np.concatenate([v_plus - v_minus, v_minus - v_plus])]
+    )
 
 
-def _residual_fn(eps, vm, vp, unc, omega_norm: float, mode: str):
-    """Whitened residuals of both branches as a function of p = (eta, sigma)."""
-    use_weights = np.all(unc > 0)
+def _solve_triangle(A: np.ndarray, y: np.ndarray, w_max: float) -> np.ndarray:
+    """The (a, b) minimizing |A (a, b) - y|^2 over 0 <= b <= w_max a, a <= 1:
+    the box eta in [0, 1], sigma_Theta in [0, _SIGMA_MAX].
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        m_vm, m_vp = _model_variances(eps, p[0], p[1], omega_norm, mode)
-        if use_weights:
-            # unc is the relative uncertainty: whiten each branch by its own
-            # absolute 1-sigma error.
-            return np.concatenate([(m_vm - vm) / (unc * vm), (m_vp - vp) / (unc * vp)])
-        return np.concatenate([np.log(m_vm) - np.log(vm), np.log(m_vp) - np.log(vp)])
+    The cost is a convex quadratic, so its minimum over the triangle is the
+    unconstrained one if that lies inside, else the best of the three edges,
+    each a clipped one-dimensional minimization (Lawson & Hanson, Solving
+    Least Squares Problems, 1974).
+    """
+    x = np.linalg.lstsq(A, y, rcond=None)[0]
+    if 0.0 <= x[1] <= w_max * x[0] and x[0] <= 1.0:
+        return x
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, w_max]])
+    best, best_cost = None, math.inf
+    for start, end in ((0, 1), (1, 2), (0, 2)):
+        p, d = corners[start], corners[end] - corners[start]
+        r, ad = A @ p - y, A @ d
+        norm2 = ad @ ad
+        t = min(max(-(ad @ r) / norm2, 0.0), 1.0) if norm2 > 0.0 else 0.0
+        cost = float(np.sum(np.square(r + t * ad)))
+        if cost < best_cost:
+            best, best_cost = p + t * d, cost
+    return best
 
-    return residuals
 
-
-def _best_fit(residuals, starts):
-    """Bounded least squares from each start: the lowest-cost result, and
-    whether any start converged."""
-    from scipy.optimize import least_squares  # here, so that only fits pay its ~0.5 s import
-
-    best, converged = None, False
-    for start in starts:
-        res = least_squares(residuals, start, bounds=([0.0, 0.0], [1.0, _SIGMA_MAX]))
-        if best is None or res.cost < best.cost:
-            best = res
-        converged = converged or bool(res.success)
-    return best, converged
+def _sigma_from_weight(w: float, mode: str) -> float:
+    """Inverse of ``phase_noise_weight`` on [0, 1/2)."""
+    return math.sqrt(w if mode == "small-angle" else -0.5 * math.log1p(-2.0 * w))
 
 
 def fit_phase_noise_model(
@@ -216,41 +228,59 @@ def fit_phase_noise_model(
 ) -> FitResult:
     """Joint weighted least-squares fit of (eta, sigma_Theta) to both branches.
 
-    Bounded trust-region least squares (eta in [0, 1], sigma_Theta in
-    [0, 0.5]) with 9 multi-starts on a parameter grid. Uncertainties come
-    from the Jacobian at the optimum, cross-checked by a seeded bootstrap
-    over data points (the larger of the two is reported). A sigma_Theta
-    pinned at 0 reports the one-sided bound sqrt(w_err) of w = sigma_Theta^2.
+    The model is affine in (a, b) = (eta, eta*w(sigma_Theta)), and the box
+    eta in [0, 1], sigma_Theta in [0, 0.5] is a triangle in (a, b), where
+    ``_solve_triangle`` finds the exact optimum. Uncertainties are
+    s^2 (A^T A)^-1 carried to (eta, sigma_Theta) by the delta method,
+    cross-checked by a seeded bootstrap over data points (the larger of the
+    two is reported). A sigma_Theta pinned at 0 reports the one-sided bound
+    sqrt(s_err) of s = sigma_Theta^2. A sigma_Theta at its 0.5 rad upper
+    bound, or an eta_hat of 0, which leaves sigma_Theta free, is a
+    NumericalError.
     """
     if len(data.points) < 4:
         raise ValueError("need at least 4 data points")
+    w_max = phase_noise_weight(_SIGMA_MAX, mode)
     eps, vm, vp, unc = data.epsilons, data.var_minus, data.var_plus, data.uncertainties
-
-    starts = [(e, s) for e in (0.6, 0.8, 0.95) for s in (0.002, 0.01, 0.05)]
-    residuals = _residual_fn(eps, vm, vp, unc, omega_norm, mode)
-    best, converged = _best_fit(residuals, starts)
-    eta_hat, sigma_hat = map(float, best.x)
-    r_opt = best.fun
-    residual_norm = float(np.linalg.norm(r_opt))
-    at_zero = sigma_hat < 1e-4 * _SIGMA_MAX
-    at_boundary = at_zero or sigma_hat > (1.0 - 1e-4) * _SIGMA_MAX
-
-    dof = max(r_opt.size - 2, 1)
-    s2 = float(r_opt @ r_opt) / dof
+    if not np.all(unc > 0):
+        # Unknown: equal relative uncertainties, whose value s^2 cancels.
+        unc = np.ones_like(unc)
+    # Whiten each branch by its own absolute 1-sigma error.
+    scale = np.concatenate([unc * vm, unc * vp])
+    A = _affine_design(eps, omega_norm) / scale[:, None]
+    y = (np.concatenate([vm, vp]) - 1.0) / scale
     try:
-        cov = s2 * np.linalg.inv(best.jac.T @ best.jac)
-        eta_err, sigma_err = np.sqrt(np.maximum(np.diag(cov), 0.0)).tolist()
-        if at_zero:
-            # The model is even in sigma, so its Jacobian column vanishes at 0;
-            # in w = sigma^2 it does not. Report the one-sided bound sqrt(w_err).
-            dw = 1e-6
-            w_col = (residuals([eta_hat, math.sqrt(sigma_hat**2 + dw)]) - r_opt) / dw
-            jac = np.column_stack([best.jac[:, 0], w_col])
-            sigma_err = math.sqrt(math.sqrt(max(s2 * np.linalg.inv(jac.T @ jac)[1, 1], 0.0)))
+        cov = np.linalg.inv(A.T @ A)
+        a, b = _solve_triangle(A, y, w_max)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("the data do not determine (eta, sigma_Theta): J^T J is singular") from exc
+        raise NumericalError("the data do not determine (eta, sigma_Theta): A^T A is singular") from exc
+    r_opt = A @ np.array([a, b]) - y
+    residual_norm = float(np.linalg.norm(r_opt))
+    s2 = float(r_opt @ r_opt) / max(r_opt.size - 2, 1)
+
+    eta_hat = float(a)
+    eta_err = math.sqrt(max(s2 * cov[0, 0], 0.0))
+    if eta_hat > 0.0:
+        w = min(b / a, w_max)
+        sigma_hat = _sigma_from_weight(w, mode)
+        if sigma_hat > (1.0 - 1e-4) * _SIGMA_MAX:
+            raise NumericalError(
+                f"the data do not determine (eta, sigma_Theta): sigma_Theta = {sigma_hat:.6g} rad "
+                f"at its upper bound {_SIGMA_MAX} rad"
+            )
+        # Gradient in (a, b) of s = sigma^2, through w = b/a and ds/dw = 1/(dw/ds).
+        dw_ds = 1.0 if mode == "small-angle" else 1.0 - 2.0 * w
+        grad = np.array([-b / a, 1.0]) / (a * dw_ds)
+        var_s = max(s2 * float(grad @ cov @ grad), 0.0)
+        at_boundary = sigma_hat < 1e-4 * _SIGMA_MAX
+        # The model is even in sigma, so d/dsigma vanishes at 0; in s = sigma^2
+        # it does not. There, report the one-sided bound sqrt(s_err).
+        sigma_err = math.sqrt(math.sqrt(var_s)) if at_boundary else math.sqrt(var_s) / (2.0 * sigma_hat)
+    else:
+        # b = 0 as well: sigma_Theta multiplies nothing, so any value fits.
+        sigma_hat, sigma_err, at_boundary = 0.0, math.inf, False
     # An error wider than the parameter's bounded range: the data do not fix it. A sigma_Theta
-    # at a bound is exempt: its error is one-sided.
+    # pinned at 0 is exempt: its error is one-sided.
     if eta_err > 1.0 or (sigma_err > _SIGMA_MAX and not at_boundary):
         msg = f"1-sigma errors {eta_err:.3g}, {sigma_err:.3g} against bound widths 1, {_SIGMA_MAX}"
         raise NumericalError(f"the data do not determine (eta, sigma_Theta): {msg}")
@@ -259,16 +289,15 @@ def fit_phase_noise_model(
         rng = np.random.default_rng(bootstrap_seed)
         n_pts = eps.size
         etas, sigmas = [], []
-        start = [(eta_hat, max(sigma_hat, 1e-3))]
         for _ in range(n_bootstrap):
             idx = rng.integers(0, n_pts, n_pts)
             if np.unique(eps[idx]).size < 3:
                 continue
-            boot, _ = _best_fit(
-                _residual_fn(eps[idx], vm[idx], vp[idx], unc[idx], omega_norm, mode), start
-            )
-            etas.append(boot.x[0])
-            sigmas.append(boot.x[1])
+            rows = np.concatenate([idx, idx + n_pts])
+            boot_a, boot_b = _solve_triangle(A[rows], y[rows], w_max)
+            if boot_a > 0.0:
+                etas.append(boot_a)
+                sigmas.append(_sigma_from_weight(min(boot_b / boot_a, w_max), mode))
         if len(etas) >= 10:
             eta_err = max(eta_err, float(np.std(etas)))
             sigma_err = max(sigma_err, float(np.std(sigmas)))
@@ -279,6 +308,6 @@ def fit_phase_noise_model(
         eta_err=eta_err,
         sigma_err=sigma_err,
         residual_norm=residual_norm,
-        converged=converged,
+        converged=True,
         at_boundary=at_boundary,
     )

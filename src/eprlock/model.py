@@ -209,11 +209,12 @@ class DetectionParams:
     @property
     def idler_weight(self) -> float:
         """Gain sqrt(eta_s/eta_i) on the idler current that cancels the
-        anti-squeezing leak (sqrt(eta_s) - g sqrt(eta_i))^2/(1 + g^2)."""
+        anti-squeezing leak (sqrt(eta_s) - g sqrt(eta_i))^2/(1 + g^2). A ratio
+        of square roots, it stays finite where eta_s/eta_i would overflow."""
         for name in ("eta_s", "eta_i"):
             if getattr(self, name) == 0.0:
                 raise PhysicsDomainError(f"detection.{name} = 0: a dead arm has no joint quadratures")
-        return math.sqrt(self.eta_s / self.eta_i)
+        return math.sqrt(self.eta_s) / math.sqrt(self.eta_i)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,17 @@ def two_mode_variance(epsilon, eta, omega_norm, sign: str):
         raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
     if not 0.0 <= eta <= 1.0:
         raise PhysicsDomainError(f"eta = {eta} outside [0, 1]")
-    w2 = np.square(np.asarray(omega_norm, dtype=float))
-    lorentz = eta * 4.0 * eps / (w2 + np.square(1.0 + eps if sign == "minus" else 1.0 - eps))
-    result = 1.0 - lorentz if sign == "minus" else 1.0 + lorentz
+    omega = np.asarray(omega_norm, dtype=float)
+    # 1 -+ eta*4*eps/(omega^2 + (1 +- eps)^2), evaluated in one output buffer
+    # with the operations of that expression in its order.
+    result = np.empty(np.broadcast_shapes(eps.shape, omega.shape))
+    np.square(omega, out=result)
+    result += np.square(1.0 + eps if sign == "minus" else 1.0 - eps)
+    np.divide(eta * 4.0 * eps, result, out=result)
+    if sign == "minus":
+        np.subtract(1.0, result, out=result)
+    else:
+        result += 1.0
     if result.ndim == 0:
         return float(result)
     return result
@@ -64,16 +72,22 @@ def phase_noise_variance(var_ideal, var_orthogonal, sigma_theta, mode: str = "sm
     v*(1 - sigma^2) + v_orth*sigma^2; "exact-gaussian" evaluates the full
     Gaussian average using E[cos^2 Theta] = (1 + exp(-2 sigma^2))/2.
     """
+    w = phase_noise_weight(sigma_theta, mode)
+    return var_ideal * (1.0 - w) + var_orthogonal * w
+
+
+def phase_noise_weight(sigma_theta, mode: str) -> float:
+    """Weight w of the orthogonal variance in ``phase_noise_variance``:
+    sigma^2 ("small-angle") or (1 - exp(-2 sigma^2))/2 ("exact-gaussian"),
+    that is E[sin^2 Theta]. Both rise monotonically from 0."""
     if mode not in PHASE_NOISE_MODES:
         raise ValueError(f"mode must be one of {PHASE_NOISE_MODES}, got {mode!r}")
     sigma = float(sigma_theta)
     if sigma < 0:
         raise PhysicsDomainError("sigma_theta must be non-negative")
     if mode == "small-angle":
-        w = sigma**2
-    else:
-        w = 0.5 * (1.0 - math.exp(-2.0 * sigma**2))
-    return var_ideal * (1.0 - w) + var_orthogonal * w
+        return sigma**2
+    return 0.5 * (1.0 - math.exp(-2.0 * sigma**2))
 
 
 class DuanSimonResult(NamedTuple):

@@ -397,6 +397,21 @@ class TestUnequalArms:
         assert abs(fit["sigma_hat"] - fit["injected_sigma_theta"]) <= 0.003
         assert abs(fit["eta_hat"] - fit["injected_eta"]) <= 0.02
 
+    @pytest.mark.parametrize("eta_i", ["1e-200", "1e-320"])
+    def test_fig4_with_a_nearly_dead_arm_is_4(self, tmp_path, capsys, eta_i):
+        """Data that hold no squeezing pin sigma_Theta at its upper bound. At
+        1e-200 that was exit 0 with sigma_hat 0.49999; at 1e-320 g*g overflowed
+        into a bare "invalid value encountered in divide"."""
+        out = tmp_path / "run"
+        args = ["--set", f"detection.eta_i={eta_i}", "--set", "reproduce_fig4.duration=0.2"]
+        assert cli.main(["reproduce", "fig4", *args, "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numerical"
+        assert "upper bound 0.5 rad" in err["message"]
+        assert not out.exists()
+
 
 class TestFig4AtZeroPhaseNoise:
     def test_a_pinned_sigma_reports_a_finite_error(self, tmp_path):
@@ -620,25 +635,44 @@ class TestWrite:
 
 
 class TestImport:
-    def test_cli_imports_no_scipy(self, tmp_path):
-        """scipy is loaded only where a fit or optimization runs: not by the
-        import, nor by commands that never fit. concurrent.futures, which only
-        reproduce fig4 uses, is not loaded by the import either."""
+    @staticmethod
+    def _printed(tmp_path, code):
+        """Lines printed by ``code`` run in a fresh interpreter, with
+        ``scipy()`` listing the scipy modules loaded and ``out`` a scratch path."""
         path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         code = (
             "import sys, eprlock.cli as cli\n"
             "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(scipy(), 'concurrent.futures' in sys.modules)\n"
-            "out = sys.argv[1]\n"
-            "assert cli.main(['steady-state', '--out', out + '/s']) == 0\n"
-            "assert cli.main(['lock-sim', '--set', 'lock_sim.duration=0.05', '--out', out + '/l']) == 0\n"
-            "print(scipy())\n"
+            "out = sys.argv[1]\n" + code
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout.splitlines() == ["[] False", "[]"]
+        return proc.stdout.splitlines()
+
+    def test_cli_imports_no_scipy(self, tmp_path):
+        """scipy is loaded only where an optimization runs: not by the import,
+        nor by commands that never optimize. concurrent.futures, which only
+        reproduce fig4 uses, is not loaded by the import either."""
+        code = (
+            "print(scipy(), 'concurrent.futures' in sys.modules)\n"
+            "assert cli.main(['steady-state', '--out', out + '/s']) == 0\n"
+            "assert cli.main(['lock-sim', '--set', 'lock_sim.duration=0.05', '--out', out + '/l']) == 0\n"
+            "print(scipy())\n"
+        )
+        assert self._printed(tmp_path, code) == ["[] False", "[]"]
+
+    def test_fits_import_no_scipy(self, tmp_path):
+        """The (eta, sigma_Theta) fit is solved in closed form: neither
+        reproduce fig4 nor fit loads scipy."""
+        code = (
+            "assert cli.main(['reproduce', 'fig4', '--set', 'reproduce_fig4.duration=0.1', '--out', out + '/f']) == 0\n"
+            "print(scipy())\n"
+            "assert cli.main(['fit', '--input', out + '/f/fig4_dataset.csv', '--out', out + '/t']) == 0\n"
+            "print(scipy())\n"
+        )
+        assert self._printed(tmp_path, code) == ["[]", "[]"]
 
 
 class TestReproducibility:
