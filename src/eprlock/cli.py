@@ -18,8 +18,9 @@ import csv
 import hashlib
 import json
 import math
-import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -35,7 +36,9 @@ from .model import (
     complex_to_pair,
     config_from_dict,
     db,
+    fork_join,
     sample_budget,
+    usable_cpus,
     validate_frequency_plan,
 )
 
@@ -228,18 +231,39 @@ def _encode(name: str, content):
     return header, columns
 
 
+def _write_rows(fh, columns, starts) -> None:
+    for start in starts:
+        cells = [map(repr, col[start : start + _CSV_CHUNK].tolist()) for col in columns]
+        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
 def _write(path: Path, content) -> None:
-    """Write an encoded artifact: JSON text, or CSV rows of repr(float) cells."""
+    """Write an encoded artifact: JSON text, or CSV rows of repr(float) cells.
+
+    A table of more than one chunk is split in two: this process writes the
+    first half of the chunks while a forked worker (model.fork_join) writes
+    the rest into an unnamed file beside it, which is then appended.
+    """
     if isinstance(content, str):
         path.write_text(content)
         return
     header, columns = content
-    n = min(map(len, columns))
+    starts = range(0, min(map(len, columns)), _CSV_CHUNK)
+    half = len(starts) // 2
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, n, _CSV_CHUNK):
-            cells = [map(repr, col[start : start + _CSV_CHUNK].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        if half == 0:
+            _write_rows(fh, columns, starts)
+            return
+        with tempfile.TemporaryFile("w+", newline="", dir=path.parent) as tail:
+
+            def write_tail():
+                _write_rows(tail, columns, starts[half:])
+                tail.flush()  # the worker ends without flushing its buffers
+
+            fork_join(write_tail, lambda: _write_rows(fh, columns, starts[:half]))
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -548,8 +572,7 @@ def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
     block = cfg["reproduce_fig4"]
     seed = cfg["run"]["rng_seed"]
     epsilons = block["epsilons"]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), cpus)))
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
     try:
         # A worker thread starts from a fresh context; run() sets np.errstate in this one.
         futures = [

@@ -62,11 +62,13 @@ class SqueezingDataset:
         for p in pts:
             if not all(map(math.isfinite, p)):
                 raise ValueError(f"non-finite value in data point {p}")
-            eps, vm, vp, _unc = p
+            eps, vm, vp, unc = p
             if not 0.0 <= eps < 1.0:
                 raise ValueError(f"epsilon = {eps} outside [0, 1)")
             if vm <= 0 or vp <= 0:
                 raise ValueError("variances must be positive")
+            if unc < 0:
+                raise ValueError(f"uncertainty = {unc} is negative (0 means unknown)")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -10,13 +10,14 @@ quantities measured here.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .estimation import integrate_psd, welch_psd
-from .model import PhysicsDomainError, TimeSeries, sample_budget
+from .model import PhysicsDomainError, TimeSeries, fork_join, sample_budget
 from .nopo import LockFieldState
 from .spectra import two_mode_variance
 
@@ -162,8 +163,16 @@ def run_closed_loop(
 
     amp_s = abs(lock_fields.a_cls)
     amp_i = abs(lock_fields.a_cli)
-    res_s, sat_s = _run_arm(loop_s, d_s, rate, amp_s)
-    res_i, sat_i = _run_arm(loop_i, d_i_total, rate, amp_i)
+    # The arms are independent, so the idler's runs in a forked worker
+    # (model.fork_join), which writes its residual into this shared buffer.
+    res_i = np.frombuffer(mmap.mmap(-1, d_i_total.nbytes), dtype=float)
+
+    def idler_arm():
+        res, sat = _run_arm(loop_i, d_i_total, rate, amp_i)
+        res_i[:] = res
+        return np.flatnonzero(sat)
+
+    sat_i, (res_s, sat_s) = fork_join(idler_arm, lambda: _run_arm(loop_s, d_s, rate, amp_s))
 
     t = np.arange(res_s.size) / rate
     sat_times = np.sort(np.concatenate([t[sat_s], t[sat_i]]))

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -61,6 +62,67 @@ def sample_budget(count: float, what: str) -> int:
     if not count <= MAX_SAMPLES:
         raise ConfigError(f"{what} = {count:.6g} exceeds the sample budget of {MAX_SAMPLES}")
     return int(round(count))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _send_outcome(conn, child_fn) -> None:
+    """Worker body: send (True, child_fn()) or (False, the exception it raised)."""
+    try:
+        outcome = (True, child_fn())
+    except BaseException as exc:
+        outcome = (False, exc)
+    conn.send(outcome)
+
+
+def fork_join(child_fn, parent_fn):
+    """Run ``child_fn()`` in one forked worker while ``parent_fn()`` runs here.
+
+    Returns (child result, parent result). ``child_fn`` reaches the worker by
+    fork inheritance, so it is never pickled; its result and exception are,
+    so it should return something small and hand bulk data back through
+    memory or files the parent opened before the call. The worker's own
+    exception is raised here; an exception of ``parent_fn`` wins over it,
+    and no worker outlives the call. With fewer than 2 usable CPUs, no
+    ``fork`` start method, or inside a daemonic process (which may not have
+    children) both run inline, ``parent_fn`` first.
+    """
+    import multiprocessing  # here: its import would cost every command
+
+    if (
+        usable_cpus() < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        parent = parent_fn()
+        return child_fn(), parent
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_send_outcome, args=(writer, child_fn), daemon=True)
+    worker.start()
+    writer.close()
+    try:
+        parent = parent_fn()
+        outcome = reader.recv()
+    except EOFError:
+        outcome = None
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        reader.close()
+    if outcome is None:
+        raise NumericalError(f"worker ended without a result (exit code {worker.exitcode})")
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value, parent
 
 
 def _require_finite(name: str, *values) -> None:

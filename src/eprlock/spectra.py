@@ -116,8 +116,9 @@ def optimal_epsilon(
 ) -> tuple[float, float]:
     """Pump amplitude minimizing the phase-noise-degraded squeezing variance.
 
-    Bounded derivative-free minimization over epsilon in [0, 0.99] with
-    1e-8 argument tolerance.
+    Golden-section search over epsilon in [0, 0.99] to a 1e-8 bracket: the
+    objective falls with the squeezing and rises with the anti-squeezing
+    it mixes in, so it has one minimum there.
     """
     if not 0.0 <= eta <= 1.0:
         raise PhysicsDomainError(f"eta = {eta} outside [0, 1]")
@@ -129,8 +130,18 @@ def optimal_epsilon(
         v_plus = two_mode_variance(eps, eta, omega_norm, "plus")
         return phase_noise_variance(v_minus, v_plus, sigma_theta, mode)
 
-    from scipy.optimize import minimize_scalar  # here, so that only optimizers pay its import
-    res = minimize_scalar(
-        objective, bounds=(0.0, 0.99), method="bounded", options={"xatol": 1e-8}
-    )
-    return float(res.x), float(res.fun)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = 0.0, 0.99
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > 1e-8:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = objective(x2)
+    eps = 0.5 * (lo + hi)
+    return eps, float(objective(eps))

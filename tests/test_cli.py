@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprlock import cli
+from eprlock import cli, kernels, model
 from eprlock.model import ConfigError
 
 
@@ -560,10 +561,14 @@ class TestInputCommands:
         assert payload["eta_hat"] == pytest.approx(0.89, abs=1e-4)
         assert payload["sigma_hat"] == pytest.approx(0.01, abs=1e-4)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_fit_non_finite_input_is_2(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize(
+        "bad_row",
+        [(0.5, "nan", 5.0, 0.01), (0.5, "inf", 5.0, 0.01), (0.5, 0.4, 5.0, -0.01)],
+        ids=["nan", "inf", "negative-uncert"],
+    )
+    def test_fit_rejected_input_is_2(self, tmp_path, capsys, bad_row):
         table = tmp_path / "dataset.csv"
-        rows = [(0.1, 0.8, 1.3, 0.01), (0.3, 0.5, 2.5, 0.01), (0.5, bad, 5.0, 0.01), (0.7, 0.3, 12.0, 0.01)]
+        rows = [(0.1, 0.8, 1.3, 0.01), (0.3, 0.5, 2.5, 0.01), bad_row, (0.7, 0.3, 12.0, 0.01)]
         with open(table, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epsilon", "var_minus", "var_plus", "uncert"])
@@ -614,7 +619,7 @@ class TestManifest:
 
 
 class TestWrite:
-    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193])
+    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16383, 16384, 16385, 3 * 8192 + 5])
     def test_csv_bytes_match_csv_writer(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         header = ["t", "special", "wide"]
@@ -652,27 +657,30 @@ class TestImport:
         return proc.stdout.splitlines()
 
     def test_cli_imports_no_scipy(self, tmp_path):
-        """scipy is loaded only where an optimization runs: not by the import,
-        nor by commands that never optimize. concurrent.futures, which only
-        reproduce fig4 uses, is not loaded by the import either."""
+        """The package loads no scipy: not on import, nor in a command. The
+        import also leaves out concurrent.futures, which only reproduce fig4
+        uses, and multiprocessing, which only the forked worker uses."""
         code = (
-            "print(scipy(), 'concurrent.futures' in sys.modules)\n"
+            "print(scipy(), 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
             "assert cli.main(['steady-state', '--out', out + '/s']) == 0\n"
             "assert cli.main(['lock-sim', '--set', 'lock_sim.duration=0.05', '--out', out + '/l']) == 0\n"
             "print(scipy())\n"
         )
-        assert self._printed(tmp_path, code) == ["[] False", "[]"]
+        assert self._printed(tmp_path, code) == ["[] False False", "[]"]
 
     def test_fits_import_no_scipy(self, tmp_path):
-        """The (eta, sigma_Theta) fit is solved in closed form: neither
-        reproduce fig4 nor fit loads scipy."""
+        """The (eta, sigma_Theta) fit is solved in closed form and the optimal
+        pump by golden section: neither reproduce fig4, fit nor
+        optimal_epsilon loads scipy."""
         code = (
             "assert cli.main(['reproduce', 'fig4', '--set', 'reproduce_fig4.duration=0.1', '--out', out + '/f']) == 0\n"
             "print(scipy())\n"
             "assert cli.main(['fit', '--input', out + '/f/fig4_dataset.csv', '--out', out + '/t']) == 0\n"
             "print(scipy())\n"
+            "cli.spectra.optimal_epsilon(0.89, 0.01)\n"
+            "print(scipy())\n"
         )
-        assert self._printed(tmp_path, code) == ["[]", "[]"]
+        assert self._printed(tmp_path, code) == ["[]", "[]", "[]"]
 
 
 class TestReproducibility:
@@ -688,6 +696,54 @@ class TestReproducibility:
         ma.pop("timestamp")
         mb.pop("timestamp")
         assert ma == mb
+
+
+class TestForkedWorker:
+    """lock-sim's idler arm and the second half of a large CSV run in a forked
+    worker when two CPUs are usable, and inline otherwise."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lock-sim", "--set", "lock_sim.duration=0.2"], ["synth-epr", "--set", "synth_epr.duration=0.2"]],
+        ids=lambda args: args[0],
+    )
+    def test_inline_and_forked_artifacts_are_identical(self, tmp_path, monkeypatch, args):
+        outs = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert cli.main(args + ["--out", str(outs[cpus])]) == 0
+        names = sorted(p.name for p in outs[1].iterdir())
+        assert names == sorted(p.name for p in outs[2].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_failing_idler_arm_keeps_the_exit_contract(self, tmp_path, capfd, monkeypatch, cpus):
+        servo_loop = kernels.servo_loop
+
+        def failing_idler(dist, dt, amp, kp, *rest):
+            if kp == 0.0125:
+                raise ValueError("idler servo rejected its input")
+            return servo_loop(dist, dt, amp, kp, *rest)
+
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(kernels, "servo_loop", failing_idler)
+        out = tmp_path / "run"
+        args = ["lock-sim", "--set", "lock_sim.duration=0.2", "--set", "lock_sim.loop_i.kp=0.0125"]
+        assert cli.main(args + ["--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0]) == {
+            "error": "config",
+            "type": "ValueError",
+            "message": "idler servo rejected its input",
+        }
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
 
 def _leaves(node, path=""):

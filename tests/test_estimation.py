@@ -143,6 +143,10 @@ class TestSqueezingDataset:
             estimation.SqueezingDataset(points=((1.2, 0.5, 2.0, 0.01),))
         with pytest.raises(ValueError):
             estimation.SqueezingDataset(points=((0.5, -0.5, 2.0, 0.01),))
+        with pytest.raises(ValueError, match="negative"):
+            estimation.SqueezingDataset(points=((0.5, 0.5, 2.0, -0.01),))
+        # Zero stays "unknown".
+        assert estimation.SqueezingDataset(points=((0.5, 0.5, 2.0, 0.0),)).uncertainties[0] == 0.0
 
 
 def _synthetic_dataset(eta, sigma, epsilons, rel_unc=0.01, noise_seed=None, mode="small-angle"):

@@ -1,21 +1,28 @@
 """Unit tests for shared domain types, phase conventions and configuration."""
 
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
+from eprlock import model
 from eprlock.model import (
     CavityParams,
     ConfigError,
     DetectionParams,
     FrequencyPlan,
+    NumericalError,
     PhaseNoiseSpec,
     PhysicsDomainError,
     PumpParams,
     SeedParams,
     config_from_dict,
     db,
+    fork_join,
+    usable_cpus,
     validate_frequency_plan,
     wrap_phase,
 )
@@ -212,3 +219,67 @@ class TestConfigFromDict:
         raw["seed"] = [1, 2]
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(raw)
+
+
+def _raise(exc):
+    raise exc
+
+
+def _fork_join_pids():
+    return fork_join(os.getpid, os.getpid)
+
+
+@pytest.fixture(params=[2, 1], ids=["forked", "inline"])
+def cpus(request, monkeypatch):
+    """Run a test with the worker forked and with both functions inline."""
+    monkeypatch.setattr(model, "usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestForkJoin:
+    def test_usable_cpus(self):
+        assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
+
+    def test_results_in_order(self, cpus):
+        child_pid, parent = fork_join(os.getpid, lambda: "parent")
+        assert parent == "parent"
+        assert (child_pid == os.getpid()) == (cpus == 1)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_writes_shared_memory(self, cpus):
+        import mmap
+
+        shared = np.frombuffer(mmap.mmap(-1, 8 * 4), dtype=float)
+
+        def child():
+            shared[:] = [1.0, 2.0, 3.0, 4.0]
+            return 7
+
+        assert fork_join(child, lambda: 8) == (7, 8)
+        assert shared.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_worker_exception_is_raised_here(self, cpus):
+        with pytest.raises(ValueError, match="idler"):
+            fork_join(lambda: _raise(ValueError("idler")), lambda: 0)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_exception_wins_and_ends_the_worker(self, cpus):
+        """Inline, the worker's function never starts; forked, it is ended."""
+        start = time.perf_counter()
+        with pytest.raises(KeyError):
+            fork_join(lambda: time.sleep(30.0), lambda: _raise(KeyError("signal")))
+        assert time.perf_counter() - start < 10.0
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        with pytest.raises(NumericalError, match="exit code 3"):
+            fork_join(lambda: os._exit(3), lambda: 0)
+        assert multiprocessing.active_children() == []
+
+    def test_inline_inside_a_daemonic_process(self, monkeypatch):
+        """A daemonic process may not start children: both run inline there."""
+        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child_pid, parent_pid = pool.apply(_fork_join_pids)
+        assert child_pid == parent_pid != os.getpid()

@@ -199,6 +199,25 @@ class TestOptimalEpsilon:
         eps_star, _ = spectra.optimal_epsilon(0.89, 0.0)
         assert eps_star == pytest.approx(0.99, abs=1e-4)
 
+    @pytest.mark.parametrize("mode", spectra.PHASE_NOISE_MODES)
+    def test_agrees_with_scipy_bounded_search(self, mode):
+        """scipy is the oracle here only; the package does not import it."""
+        from scipy.optimize import minimize_scalar
+
+        for eta in (0.1, 0.5, 0.89, 1.0):
+            for sigma in (0.0, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0):
+                for omega in (0.0, 0.5):
+
+                    def objective(eps):
+                        vm = spectra.two_mode_variance(eps, eta, omega, "minus")
+                        vp = spectra.two_mode_variance(eps, eta, omega, "plus")
+                        return spectra.phase_noise_variance(vm, vp, sigma, mode)
+
+                    ref = minimize_scalar(objective, bounds=(0.0, 0.99), method="bounded", options={"xatol": 1e-8})
+                    eps_star, v_star = spectra.optimal_epsilon(eta, sigma, omega, mode)
+                    assert eps_star == pytest.approx(ref.x, abs=1e-6), (eta, sigma, omega)
+                    assert v_star == pytest.approx(ref.fun, abs=1e-6), (eta, sigma, omega)
+
     def test_domain_checks(self):
         with pytest.raises(PhysicsDomainError):
             spectra.optimal_epsilon(1.2, 0.01)
