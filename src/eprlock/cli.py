@@ -208,7 +208,7 @@ def _system_config(cfg: dict) -> SystemConfig:
     return sys_cfg
 
 
-# Rows per write of a CSV artifact: large enough to amortize the join,
+# Rows per write of a CSV artifact: large enough to amortize the formatting,
 # small enough that the row strings stay a small part of peak memory.
 _CSV_CHUNK = 8192
 
@@ -217,7 +217,7 @@ def _encode(name: str, content):
     """Refuse an artifact with a non-finite value; a JSON payload becomes its text.
 
     A dict is a JSON payload; a (header, columns) pair is a CSV table, whose
-    columns come back as float arrays.
+    columns come back as float arrays of one length.
     """
     if isinstance(content, dict):
         try:
@@ -226,15 +226,19 @@ def _encode(name: str, content):
             raise NumericalError(f"{name} would hold a non-finite value") from exc
     header, columns = content
     columns = [np.asarray(col, dtype=float) for col in columns]
+    if len({col.shape for col in columns}) > 1:
+        raise ValueError(f"{name} has columns of unequal length")
     if not all(np.isfinite(col).all() for col in columns):
         raise NumericalError(f"{name} would hold a non-finite value")
     return header, columns
 
 
 def _write_rows(fh, columns, starts) -> None:
+    """Write the chunks of rows at ``starts``, each by one %-format (%r is repr)."""
+    row = "%r," * (len(columns) - 1) + "%r\r\n"
     for start in starts:
-        cells = [map(repr, col[start : start + _CSV_CHUNK].tolist()) for col in columns]
-        fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        block = np.stack([col[start : start + _CSV_CHUNK] for col in columns], axis=1)
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write(path: Path, content) -> None:
@@ -242,13 +246,13 @@ def _write(path: Path, content) -> None:
 
     A table of more than one chunk is split in two: this process writes the
     first half of the chunks while a forked worker (model.fork_join) writes
-    the rest into an unnamed file beside it, which is then appended.
+    the rest into an unnamed file beside it, whose bytes are then appended.
     """
     if isinstance(content, str):
         path.write_text(content)
         return
     header, columns = content
-    starts = range(0, min(map(len, columns)), _CSV_CHUNK)
+    starts = range(0, len(columns[0]), _CSV_CHUNK)
     half = len(starts) // 2
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
@@ -262,8 +266,9 @@ def _write(path: Path, content) -> None:
                 tail.flush()  # the worker ends without flushing its buffers
 
             fork_join(write_tail, lambda: _write_rows(fh, columns, starts[:half]))
+            fh.flush()
             tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+            shutil.copyfileobj(tail.buffer, fh.buffer)
 
 
 def _config_hash(cfg: dict) -> str:
@@ -500,12 +505,12 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
     phase_scan = np.linspace(0.0, 2.0 * np.pi, 4096)
     amp = abs(fields.a_cls)
     fringe = locksim.TimeSeries(
-        sample_rate=rate, samples=locksim.error_signal(phase_scan, 1.0, amp, 0.0, 1), label="scan"
+        sample_rate=rate, samples=locksim.error_signal(phase_scan, 1.0, amp), label="scan"
     )
     s_pp, beta = locksim.calibrate_error_signal(fringe, float(phase_scan[-1] - phase_scan[0]))
     raw = locksim.TimeSeries(
         sample_rate=rate,
-        samples=locksim.error_signal(common.samples, 1.0, amp, 0.0, 1),
+        samples=locksim.error_signal(common.samples, 1.0, amp),
         label="error signal",
     )
     theta_cal = estimation.apply_calibration(raw, beta)

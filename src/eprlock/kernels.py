@@ -77,28 +77,31 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     y = 0.0
     v = 0.0
     frozen = False
-    # A memoryview yields plain Python floats without copying the record:
-    # per-sample numpy scalar indexing and ufunc calls cost more than the
-    # arithmetic they carry.
+    # Memoryviews read and write plain Python values without copying a
+    # record: per-sample numpy scalar indexing and ufunc calls cost more than
+    # the arithmetic they carry. The inlined error amp*sin(phi) and command
+    # kp*lpf + integ keep their operations and order, so the bits hold;
+    # ki*lpf*dt must not become ki*dt first, which rounds differently.
+    out, flags = memoryview(res), memoryview(sat)
+    sin = math.sin
+    w2 = w_res * w_res
     for k, d in enumerate(memoryview(np.ascontiguousarray(dist, dtype=float))):
         phi = d - y
-        res[k] = phi
-        err = amp * math.sin(phi)
-        lpf += lpf_alpha * (err - lpf)
+        out[k] = phi
+        lpf += lpf_alpha * (amp * sin(phi) - lpf)
         if not frozen:
             integ += ki * lpf * dt
-        cmd = kp * lpf + integ
-        v += dt * (w_res * w_res * (cmd - y) - w_damp * v)
+        v += dt * (w2 * (kp * lpf + integ - y) - w_damp * v)
         y += dt * v
         if y > act_range:
             y = act_range
             v = 0.0
-            sat[k] = True
+            flags[k] = True
             frozen = True
         elif y < -act_range:
             y = -act_range
             v = 0.0
-            sat[k] = True
+            flags[k] = True
             frozen = True
         else:
             frozen = False

@@ -116,17 +116,11 @@ def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> Ti
     return TimeSeries(sample_rate=rate, samples=out, label="rad")
 
 
-def error_signal(theta, amp_lo, amp_cl, theta_ref, beat_sign):
-    """Demodulated beat-note error signal |LO||CL| sin(theta + beat_sign*theta_ref).
-
-    beat_sign is +1 for the signal arm and -1 for the idler arm, matching
-    the opposite beat-note frequencies.
-    """
+def error_signal(theta, amp_lo, amp_cl):
+    """Demodulated beat-note error signal |LO||CL| sin(theta)."""
     if amp_lo < 0 or amp_cl < 0:
         raise ValueError("amplitudes must be non-negative")
-    if beat_sign not in (1, -1):
-        raise ValueError("beat_sign must be +1 or -1")
-    return amp_lo * amp_cl * np.sin(np.asarray(theta) + beat_sign * theta_ref)
+    return amp_lo * amp_cl * np.sin(np.asarray(theta))
 
 
 def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
@@ -156,26 +150,28 @@ def run_closed_loop(
     if rate < 20.0 * max(loop_s.lpf_cutoff, loop_i.lpf_cutoff):
         raise ValueError("rate must be at least 20x the demodulation cutoff")
     spec_s, spec_i, spec_pump = disturbances
-    d_s = synth_disturbance(spec_s, duration, rate).samples
-    d_i = synth_disturbance(spec_i, duration, rate).samples
-    d_p = synth_disturbance(spec_pump, duration, rate).samples
-    d_i_total = d_i + d_p
-
+    n = _sample_count(duration, rate)
     amp_s = abs(lock_fields.a_cls)
     amp_i = abs(lock_fields.a_cli)
     # The arms are independent, so the idler's runs in a forked worker
-    # (model.fork_join), which writes its residual into this shared buffer.
-    res_i = np.frombuffer(mmap.mmap(-1, d_i_total.nbytes), dtype=float)
+    # (model.fork_join): it draws its own seeded disturbances and writes its
+    # residual into this shared buffer, while this process draws and runs
+    # the signal arm's.
+    res_i = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
 
     def idler_arm():
-        res, sat = _run_arm(loop_i, d_i_total, rate, amp_i)
+        d_i = synth_disturbance(spec_i, duration, rate).samples
+        d_i += synth_disturbance(spec_pump, duration, rate).samples
+        res, sat = _run_arm(loop_i, d_i, rate, amp_i)
         res_i[:] = res
         return np.flatnonzero(sat)
 
-    sat_i, (res_s, sat_s) = fork_join(idler_arm, lambda: _run_arm(loop_s, d_s, rate, amp_s))
+    def signal_arm():
+        return _run_arm(loop_s, synth_disturbance(spec_s, duration, rate).samples, rate, amp_s)
 
-    t = np.arange(res_s.size) / rate
-    sat_times = np.sort(np.concatenate([t[sat_s], t[sat_i]]))
+    sat_i, (res_s, sat_s) = fork_join(idler_arm, signal_arm)
+
+    sat_times = np.sort(np.concatenate([np.flatnonzero(sat_s), sat_i])) / rate
     in_lock = float(
         np.mean((np.abs(res_s) < IN_LOCK_THRESHOLD) & (np.abs(res_i) < IN_LOCK_THRESHOLD))
     )
@@ -183,7 +179,6 @@ def run_closed_loop(
     # Diverging residual variance marks an unstable loop: compare the last
     # quarter of the record against the second quarter (first quarter is
     # acquisition transient).
-    n = res_s.size
     unstable = False
     if n >= 8:
         for r in (res_s, res_i):

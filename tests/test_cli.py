@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprlock import cli, kernels, model
+from eprlock import cli, kernels, locksim, model
 from eprlock.model import ConfigError
 
 
@@ -618,16 +618,28 @@ class TestManifest:
         assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
+_WRITE_ROWS = [0, 1, 8191, 8192, 8193, 16383, 16384, 16385, 3 * 8192 + 5]
+
+
 class TestWrite:
-    @pytest.mark.parametrize("rows", [0, 1, 8191, 8192, 8193, 16383, 16384, 16385, 3 * 8192 + 5])
-    def test_csv_bytes_match_csv_writer(self, tmp_path, rows):
+    @pytest.mark.parametrize(
+        "rows, width",
+        [
+            pytest.param(rows, width, id=str(rows) if width == 3 else f"{width}cols-{rows}")
+            for width in (1, 2, 3, 4, 5)
+            for rows in _WRITE_ROWS
+        ],
+    )
+    def test_csv_bytes_match_csv_writer(self, tmp_path, rows, width):
         rng = np.random.default_rng(rows)
-        header = ["t", "special", "wide"]
+        header = ["t", "special", "wide", "unit", "tiny"][:width]
         columns = [
             list(range(-3, rows - 3)),  # ints are written as floats
             np.resize([-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0], rows),
             rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
-        ]
+            rng.uniform(-1.0, 1.0, rows),
+            np.resize([1e-310, -2.5e-308, 123456789.0, 1.0 / 3.0, 1e16, -7.0], rows),
+        ][:width]
         path = tmp_path / "table.csv"
         cli._write(path, cli._encode(path.name, (header, columns)))
         reference = tmp_path / "reference.csv"
@@ -637,6 +649,14 @@ class TestWrite:
             for row in zip(*columns):
                 writer.writerow([repr(float(x)) for x in row])
         assert path.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize(
+        "lengths", [(3, 2), (2, 3), (4, 4, 0)], ids=["longer-first", "shorter-first", "empty-last"]
+    )
+    def test_columns_of_unequal_length_are_refused(self, lengths):
+        columns = [np.zeros(n) for n in lengths]
+        with pytest.raises(ValueError, match="unequal length"):
+            cli._encode("table.csv", ([f"c{k}" for k in range(len(lengths))], columns))
 
 
 class TestImport:
@@ -704,8 +724,12 @@ class TestForkedWorker:
 
     @pytest.mark.parametrize(
         "args",
-        [["lock-sim", "--set", "lock_sim.duration=0.2"], ["synth-epr", "--set", "synth_epr.duration=0.2"]],
-        ids=lambda args: args[0],
+        [
+            ["lock-sim", "--set", "lock_sim.duration=0.2"],
+            ["synth-epr", "--set", "synth_epr.duration=0.2"],
+            ["reproduce", "fig3", "--set", "lock_sim.duration=0.2"],
+        ],
+        ids=["lock-sim", "synth-epr", "fig3"],
     )
     def test_inline_and_forked_artifacts_are_identical(self, tmp_path, monkeypatch, args):
         outs = {}
@@ -720,6 +744,17 @@ class TestForkedWorker:
                 assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
         assert multiprocessing.active_children() == []
 
+    @staticmethod
+    def _assert_one_config_error(args, out, capfd, message):
+        """Exit 2 with one JSON line on fd 2, no --out directory and no live worker."""
+        assert cli.main(args + ["--out", str(out)]) == 2
+        err = capfd.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1, err
+        assert json.loads(lines[0]) == {"error": "config", "type": "ValueError", "message": message}
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
     def test_failing_idler_arm_keeps_the_exit_contract(self, tmp_path, capfd, monkeypatch, cpus):
         servo_loop = kernels.servo_loop
@@ -731,19 +766,25 @@ class TestForkedWorker:
 
         monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(kernels, "servo_loop", failing_idler)
-        out = tmp_path / "run"
         args = ["lock-sim", "--set", "lock_sim.duration=0.2", "--set", "lock_sim.loop_i.kp=0.0125"]
-        assert cli.main(args + ["--out", str(out)]) == 2
-        err = capfd.readouterr().err
-        lines = err.splitlines()
-        assert len(lines) == 1, err
-        assert json.loads(lines[0]) == {
-            "error": "config",
-            "type": "ValueError",
-            "message": "idler servo rejected its input",
-        }
-        assert not out.exists()
-        assert multiprocessing.active_children() == []
+        self._assert_one_config_error(args, tmp_path / "run", capfd, "idler servo rejected its input")
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_failing_worker_side_synthesis_keeps_the_exit_contract(self, tmp_path, capfd, monkeypatch, cpus):
+        """The worker draws the idler and pump disturbances itself; a pump
+        draw that fails there ends the run like a failure in this process."""
+        synth_disturbance = locksim.synth_disturbance
+        pump_seed = cli.DEFAULT_CONFIG["lock_sim"]["disturbance_pump"]["rng_seed"]
+
+        def failing_pump(spec, duration, rate):
+            if spec.rng_seed == pump_seed:
+                raise ValueError("pump disturbance rejected its input")
+            return synth_disturbance(spec, duration, rate)
+
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(locksim, "synth_disturbance", failing_pump)
+        args = ["lock-sim", "--set", "lock_sim.duration=0.2"]
+        self._assert_one_config_error(args, tmp_path / "run", capfd, "pump disturbance rejected its input")
 
 
 def _leaves(node, path=""):

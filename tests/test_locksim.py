@@ -74,20 +74,12 @@ class TestSynthDisturbance:
 class TestErrorSignal:
     def test_sinusoidal_fringe(self):
         theta = np.linspace(-math.pi, math.pi, 101)
-        sig = locksim.error_signal(theta, 2.0, 3.0, 0.0, 1)
+        sig = locksim.error_signal(theta, 2.0, 3.0)
         np.testing.assert_allclose(sig, 6.0 * np.sin(theta), atol=1e-12)
-
-    def test_beat_sign_flips_reference(self):
-        plus = locksim.error_signal(0.2, 1.0, 1.0, 0.3, 1)
-        minus = locksim.error_signal(0.2, 1.0, 1.0, 0.3, -1)
-        assert plus == pytest.approx(math.sin(0.5))
-        assert minus == pytest.approx(math.sin(-0.1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            locksim.error_signal(0.0, -1.0, 1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            locksim.error_signal(0.0, 1.0, 1.0, 0.0, 2)
+            locksim.error_signal(0.0, -1.0, 1.0)
 
 
 FIELDS = LockFieldState(a_cls=1.0 + 0j, a_cli=0.5 + 0j)
@@ -182,6 +174,101 @@ class TestSynthThetaProcess:
     def test_cutoff_must_be_positive(self, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
             locksim.synth_theta_process(0.01, cutoff, 0.1, 1e4, 9)
+
+
+def _reference_servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
+    """kernels.servo_loop one named step at a time, storing numpy scalars; the
+    kernel must keep these bits."""
+    n = len(dist)
+    res = np.empty(n)
+    sat = np.zeros(n, np.bool_)
+    lpf = 0.0
+    integ = 0.0
+    y = 0.0
+    v = 0.0
+    frozen = False
+    for k, d in enumerate(memoryview(np.ascontiguousarray(dist, dtype=float))):
+        phi = d - y
+        res[k] = phi
+        err = amp * math.sin(phi)
+        lpf += lpf_alpha * (err - lpf)
+        if not frozen:
+            integ += ki * lpf * dt
+        cmd = kp * lpf + integ
+        v += dt * (w_res * w_res * (cmd - y) - w_damp * v)
+        y += dt * v
+        if y > act_range:
+            y = act_range
+            v = 0.0
+            sat[k] = True
+            frozen = True
+        elif y < -act_range:
+            y = -act_range
+            v = 0.0
+            sat[k] = True
+            frozen = True
+        else:
+            frozen = False
+    return res, sat
+
+
+def _ramped_disturbance(n, dt, ramp, line_amp, line_hz, walk, seed):
+    """A ramp, one sinusoidal line and a random walk, sampled at dt."""
+    t = np.arange(n) * dt
+    steps = np.random.default_rng(seed).normal(0.0, walk * math.sqrt(dt), n)
+    return ramp * t + line_amp * np.sin(2.0 * math.pi * line_hz * t) + np.cumsum(steps)
+
+
+# The actuator rails sit at +-act_range down to 1 mrad, below the line and
+# ramp amplitudes, so a draw can saturate on one rail, on both, or never.
+_SERVO_INPUTS = dict(
+    n=st.integers(2, 3000),
+    dt=st.floats(1e-6, 1e-5),
+    amp=st.floats(0.05, 2.0),
+    kp=st.floats(0.0, 0.2),
+    ki=st.floats(0.0, 2e4),
+    lpf_alpha=st.floats(0.01, 1.0),
+    f_res=st.floats(1e3, 3e4),
+    q=st.floats(0.5, 20.0),
+    act_range=st.floats(1e-3, 2.0),
+    ramp=st.floats(-500.0, 500.0),
+    line_amp=st.floats(0.0, 2.0),
+    line_hz=st.floats(10.0, 2000.0),
+    walk=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+_BOTH_RAILS = dict(
+    n=3000, dt=5e-6, amp=1.0, kp=0.01, ki=5e3, lpf_alpha=0.27, f_res=2e4, q=10.0,
+    act_range=0.05, ramp=0.0, line_amp=1.0, line_hz=200.0, walk=0.0, seed=0,
+)
+
+
+class TestServoLoop:
+    @staticmethod
+    def _both(n, dt, amp, kp, ki, lpf_alpha, f_res, q, act_range, ramp, line_amp, line_hz, walk, seed):
+        dist = _ramped_disturbance(n, dt, ramp, line_amp, line_hz, walk, seed)
+        w_res = 2.0 * math.pi * f_res
+        args = (dist, dt, amp, kp, ki, lpf_alpha, w_res, w_res / q, act_range)
+        return dist, kernels.servo_loop(*args), _reference_servo_loop(*args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_SERVO_INPUTS)
+    @example(**_BOTH_RAILS)
+    @example(**{**_BOTH_RAILS, "line_amp": 0.0, "ramp": 400.0, "walk": 1.0})
+    @example(**{**_BOTH_RAILS, "line_amp": 0.0, "ramp": -400.0, "act_range": 1e-3})
+    def test_bits_match_the_stepwise_form(self, **inputs):
+        _, (res, sat), (ref_res, ref_sat) = self._both(**inputs)
+        assert res.tobytes() == ref_res.tobytes()
+        np.testing.assert_array_equal(sat, ref_sat)
+
+    def test_the_both_rails_example_saturates_on_both_rails(self):
+        """The first explicit example reaches +act_range and -act_range: after
+        a saturated step the actuator sits on a rail, so d - phi at the next
+        sample has that rail's sign."""
+        dist, (res, sat), _ = self._both(**_BOTH_RAILS)
+        after = np.flatnonzero(sat[:-1]) + 1
+        rails = np.sign(dist[after] - res[after])
+        assert set(rails.tolist()) == {-1.0, 1.0}
 
 
 def _one_pole_reference(x, alpha):
