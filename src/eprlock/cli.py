@@ -12,12 +12,10 @@ error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextvars
 import copy
 import csv
 import hashlib
 import json
-import math
 import shutil
 import sys
 import tempfile
@@ -38,7 +36,6 @@ from .model import (
     db,
     fork_join,
     sample_budget,
-    usable_cpus,
     validate_frequency_plan,
 )
 
@@ -48,7 +45,7 @@ DEFAULT_CONFIG: dict = {
     "pump": {"epsilon": 0.8, "phi_p": 0.0},
     "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
     "detection": {"eta_s": 0.89, "eta_i": 0.89},
-    "phase_noise": {"sigma_s": 0.01414213562373095, "sigma_i": 0.01414213562373095, "cov_si": 0.0},
+    "phase_noise": {"sigma_theta": 0.01},
     "run": {"rng_seed": 12345},
     "integrate": {"t_end_over_gamma": 20.0, "dt_over_gamma": 0.05},
     "spectra_scan": {"omega_norm_max": 5.0, "points": 201},
@@ -311,6 +308,8 @@ def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
         raise ConfigError(f"non-numeric data in {path}: {exc}") from exc
     if data.size == 0:
         raise ConfigError(f"input {path} has no data rows")
+    if data.shape[1] != len(header):
+        raise ConfigError(f"input {path} has {data.shape[1]} values per row under {len(header)} column names")
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"input {path} holds a NaN or infinite value")
     return header, data
@@ -399,9 +398,8 @@ def _cmd_duan_simon(cfg, sys_cfg, input_path):
     return {"duan_simon.json": payload}
 
 
-def _run_lock(cfg, sys_cfg):
+def _run_lock(cfg, fields):
     block = cfg["lock_sim"]
-    fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     return locksim.run_closed_loop(
         locksim.LoopConfig(**block["loop_s"]),
         locksim.LoopConfig(**block["loop_i"]),
@@ -413,7 +411,7 @@ def _run_lock(cfg, sys_cfg):
 
 
 def _cmd_lock_sim(cfg, sys_cfg, input_path):
-    result = _run_lock(cfg, sys_cfg)
+    result = _run_lock(cfg, nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed))
     theta_s, theta_i = result.residual_theta_s, result.residual_theta_i
     common = result.common_mode_theta.samples
     summary = {
@@ -459,14 +457,15 @@ def _cmd_synth_epr(cfg, sys_cfg, input_path):
 
 def _cmd_calibrate(cfg, sys_cfg, input_path):
     header, data = _read_table(input_path)
+    sig_col = header.index("signal") if "signal" in header else len(header) - 1
+    t_col = header.index("t") if "t" in header else 0
+    if sig_col == t_col:
+        raise ConfigError("calibrate input needs a time column and a signal column")
     phase_span = None
     if "phase" in header:
         phase = data[:, header.index("phase")]
         phase_span = float(np.max(phase) - np.min(phase))
-    sig_col = header.index("signal") if "signal" in header else len(header) - 1
-    t_col = header.index("t") if "t" in header else 0
-    rate = _sample_rate(data[:, t_col])
-    scan = locksim.TimeSeries(sample_rate=rate, samples=data[:, sig_col], label="error signal")
+    scan = locksim.TimeSeries(sample_rate=_sample_rate(data[:, t_col]), samples=data[:, sig_col])
     s_pp, beta = locksim.calibrate_error_signal(scan, phase_span)
     return {"calibration.json": {"s_pp": s_pp, "beta": beta}}
 
@@ -475,7 +474,7 @@ def _cmd_psd(cfg, sys_cfg, input_path):
     header, data = _read_table(input_path)
     if data.shape[1] < 2:
         raise ConfigError("psd input needs a time column and a value column")
-    series = locksim.TimeSeries(sample_rate=_sample_rate(data[:, 0]), samples=data[:, 1], label="input")
+    series = locksim.TimeSeries(sample_rate=_sample_rate(data[:, 0]), samples=data[:, 1])
     psd = estimation.welch_psd(series)
     return {"psd.csv": (["f", "density"], [psd.frequencies, psd.densities])}
 
@@ -496,30 +495,14 @@ def _cmd_fit(cfg, sys_cfg, input_path):
 
 
 def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
-    result = _run_lock(cfg, sys_cfg)
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
+    result = _run_lock(cfg, fields)
     common = result.common_mode_theta
-    rate = common.sample_rate
-
-    # Calibration chain: fringe scan -> beta -> calibrated common-mode trace.
-    phase_scan = np.linspace(0.0, 2.0 * np.pi, 4096)
-    amp = abs(fields.a_cls)
-    fringe = locksim.TimeSeries(
-        sample_rate=rate, samples=locksim.error_signal(phase_scan, 1.0, amp), label="scan"
-    )
-    s_pp, beta = locksim.calibrate_error_signal(fringe, float(phase_scan[-1] - phase_scan[0]))
-    raw = locksim.TimeSeries(
-        sample_rate=rate,
-        samples=locksim.error_signal(common.samples, 1.0, amp),
-        label="error signal",
-    )
-    theta_cal = estimation.apply_calibration(raw, beta)
-    psd = estimation.welch_psd(theta_cal)
-    sigma = estimation.integrate_psd(psd, psd.frequencies[1], psd.frequencies[-1])
+    s_pp, beta, psd = locksim.calibrated_theta_psd(common, abs(fields.a_cls))
     summary = {
         "s_pp": s_pp,
         "beta": beta,
-        "sigma_theta": sigma,
+        "sigma_theta": estimation.integrate_psd(psd, psd.frequencies[1], psd.frequencies[-1]),
         "sigma_theta_time_domain": float(np.std(common.samples)),
         "in_lock_fraction": result.in_lock_fraction,
     }
@@ -529,70 +512,13 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
     }
 
 
-def _fig4_point(block, sys_cfg, seed, k, eps):
-    """One pump point of fig4: (eps, var_minus, var_plus, relative uncertainty).
-
-    Every record it draws dies inside it, and its seeds derive from the run
-    seed and k alone, so points can run in any order or at once.
-    """
-    duration, rate = block["duration"], block["rate"]
-    f_lo, f_hi = block["band"]
-    g = sys_cfg.detection.idler_weight
-    run_seed = seed + 1000 * (k + 1)
-    q_s, q_i = locksim.synth_epr_photocurrents(
-        eps,
-        sys_cfg.detection.eta_s,
-        sys_cfg.detection.eta_i,
-        sys_cfg.cavity.gamma_total,
-        locksim.synth_theta_process(block["sigma_theta"], block["theta_cutoff"], duration, rate, run_seed + 1),
-        duration,
-        rate,
-        run_seed,
-    )
-    shot_power = locksim.band_power(locksim.shot_noise_reference(duration, rate, run_seed + 2), f_lo, f_hi)
-    # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
-    # detection.eta exactly; q_i is weighted in place.
-    q_s, q_i = q_s.samples, q_i.samples
-    q_i *= g
-    norm = math.hypot(1.0, g)
-    vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
-    vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
-    # Relative band-power scatter of the Welch estimate: one over the
-    # square root of (averaged segments x frequency bins in band).
-    nperseg = estimation.default_segment_length(int(duration * rate))
-    n_avg = max(1, 2 * int(duration * rate) // nperseg - 1)
-    n_bins = max(1, int((f_hi - f_lo) * nperseg / rate))
-    return eps, vm, vp, 1.0 / np.sqrt(n_avg * n_bins)
-
-
-def _fig4_dataset(cfg, sys_cfg) -> estimation.SqueezingDataset:
-    """fig4's points, computed on up to one thread per usable CPU.
-
-    The points share no data and their time is spent in numpy calls that
-    release the GIL. Results are taken in point order, so the dataset and
-    the first failing point's exception are those of a serial loop.
-    """
-    from concurrent.futures import ThreadPoolExecutor  # here: its import would cost every command
-
-    block = cfg["reproduce_fig4"]
-    seed = cfg["run"]["rng_seed"]
-    epsilons = block["epsilons"]
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
-    try:
-        # A worker thread starts from a fresh context; run() sets np.errstate in this one.
-        futures = [
-            pool.submit(contextvars.copy_context().run, _fig4_point, block, sys_cfg, seed, k, eps)
-            for k, eps in enumerate(epsilons)
-        ]
-        points = [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return estimation.SqueezingDataset(points=tuple(points))
-
-
 def _cmd_reproduce_fig4(cfg, sys_cfg, input_path):
     block = cfg["reproduce_fig4"]
-    dataset = _fig4_dataset(cfg, sys_cfg)
+    f_lo, f_hi = block["band"]
+    dataset = locksim.fig4_dataset(
+        block["epsilons"], sys_cfg.detection, sys_cfg.cavity.gamma_total, block["sigma_theta"],
+        block["theta_cutoff"], block["duration"], block["rate"], f_lo, f_hi, cfg["run"]["rng_seed"],
+    )
     result = estimation.fit_phase_noise_model(
         dataset,
         mode=cfg["fit_settings"]["mode"],
@@ -680,9 +606,12 @@ def run(argv: list[str] | None = None) -> int:
     artifacts["manifest.json"] = manifest
     encoded = {name: _encode(name, content) for name, content in artifacts.items()}
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for name, content in encoded.items():
-        _write(outdir / name, content)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, content in encoded.items():
+            _write(outdir / name, content)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {outdir}: {exc}") from exc
     return EXIT_OK
 
 

@@ -1,9 +1,9 @@
 """Spectral estimation and model fitting.
 
-Welch PSDs (periodic Hann window, 50% overlap by default,
-Parseval-normalized; Welch, IEEE Trans. Audio Electroacoust. 15, 70 (1967)),
-band integration for phase-noise RMS extraction, error-signal calibration,
-and the two-parameter (eta, sigma_Theta) fit of squeezing-vs-pump data.
+Welch PSDs (periodic Hann window, 50% overlap, Parseval-normalized; Welch,
+IEEE Trans. Audio Electroacoust. 15, 70 (1967)), band integration for
+phase-noise RMS extraction, error-signal calibration, and the two-parameter
+(eta, sigma_Theta) fit of squeezing-vs-pump data.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .model import NumericalError, TimeSeries
 from .spectra import phase_noise_weight, two_mode_variance
 
-WINDOWS = ("hann", "rectangular")
-
 # Upper bound of sigma_Theta during fitting.
 _SIGMA_MAX = 0.5
 
@@ -28,13 +26,10 @@ _WELCH_BLOCK_SAMPLES = 2**18
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """Averaged-periodogram estimate plus the metadata that produced it."""
+    """Averaged-periodogram estimate."""
 
     frequencies: np.ndarray
     densities: np.ndarray
-    segment_length: int
-    overlap_fraction: float
-    window: str
 
     def __post_init__(self):
         if np.any(self.densities < 0):
@@ -101,35 +96,20 @@ class FitResult:
 
 
 def default_segment_length(n_samples: int) -> int:
-    """Welch segment length used when none is given: n/8, clipped to [8, 2**16]."""
+    """Welch segment length of an n-sample record: n/8, clipped to [8, 2**16]."""
     return max(8, min(n_samples // 8, 2**16))
 
 
-def welch_psd(
-    series: TimeSeries,
-    segment_length: int | None = None,
-    overlap_fraction: float = 0.5,
-    window: str = "hann",
-) -> PsdEstimate:
-    """One-sided Welch PSD whose band integral recovers the series variance."""
-    if window not in WINDOWS:
-        raise ValueError(f"window must be one of {WINDOWS}, got {window!r}")
+def welch_psd(series: TimeSeries) -> PsdEstimate:
+    """One-sided Welch PSD whose band integral recovers the series variance:
+    periodic Hann segments of ``default_segment_length``, overlapped by half."""
     n = series.samples.size
-    if segment_length is None:
-        segment_length = default_segment_length(n)
-    if segment_length < 1:
-        raise ValueError("segment_length must be at least 1")
+    segment_length = default_segment_length(n)
     if segment_length > n:
         raise ValueError("series shorter than one segment")
-    if not 0.0 <= overlap_fraction <= 0.9:
-        raise ValueError("overlap_fraction must lie in [0, 0.9]")
-    step = segment_length - int(overlap_fraction * segment_length)
-    if window == "hann":
-        # Periodic Hann: the first n points of the symmetric (n + 1)-point window.
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
-    else:
-        win = np.ones(segment_length)
-    segments = sliding_window_view(series.samples, segment_length)[::step]
+    # Periodic Hann: the first n points of the symmetric (n + 1)-point window.
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    segments = sliding_window_view(series.samples, segment_length)[:: segment_length - segment_length // 2]
     # Periodograms of a few segments at a time, summed row by row in segment
     # order: the bits of a mean over all of them, without their full batch.
     rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
@@ -145,13 +125,17 @@ def welch_psd(
     dens /= series.sample_rate * np.sum(win * win)
     dens[1 : None if segment_length % 2 else -1] *= 2.0
     freqs = np.fft.rfftfreq(segment_length, d=1.0 / series.sample_rate)
-    return PsdEstimate(
-        frequencies=freqs,
-        densities=dens,
-        segment_length=int(segment_length),
-        overlap_fraction=float(overlap_fraction),
-        window=window,
-    )
+    return PsdEstimate(frequencies=freqs, densities=dens)
+
+
+def band_power_scatter(n_samples: int, rate: float, f_lo: float, f_hi: float) -> float:
+    """Relative scatter of a ``welch_psd`` band power over [f_lo, f_hi] of an
+    n-sample record: one over the square root of (averaged segments x
+    frequency bins in band)."""
+    segment_length = default_segment_length(n_samples)
+    n_avg = max(1, 2 * n_samples // segment_length - 1)
+    n_bins = max(1, int((f_hi - f_lo) * segment_length / rate))
+    return 1.0 / math.sqrt(n_avg * n_bins)
 
 
 def integrate_psd(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
@@ -171,21 +155,19 @@ def apply_calibration(series: TimeSeries, beta: float) -> TimeSeries:
     """Convert error-signal units to radians via the small-angle slope."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    return TimeSeries(
-        sample_rate=series.sample_rate, samples=beta * series.samples, label="rad"
-    )
+    return TimeSeries(sample_rate=series.sample_rate, samples=beta * series.samples)
 
 
-def _affine_design(eps: np.ndarray, omega_norm: float) -> np.ndarray:
+def _affine_design(eps: np.ndarray) -> np.ndarray:
     """Columns of the model in (a, b) = (eta, eta*w), w = ``phase_noise_weight``.
 
     With V -+ the unit-efficiency variances, the measured pair is
     var_minus = 1 + a (V- - 1) + b (V+ - V-) and
     var_plus = 1 + a (V+ - 1) + b (V- - V+): the rows of the returned
-    (2n, 2) matrix, var_minus rows first.
+    (2n, 2) matrix, var_minus rows first. The variances are those at DC.
     """
-    v_minus = two_mode_variance(eps, 1.0, omega_norm, "minus")
-    v_plus = two_mode_variance(eps, 1.0, omega_norm, "plus")
+    v_minus = two_mode_variance(eps, 1.0, 0.0, "minus")
+    v_plus = two_mode_variance(eps, 1.0, 0.0, "plus")
     return np.column_stack(
         [np.concatenate([v_minus - 1.0, v_plus - 1.0]), np.concatenate([v_plus - v_minus, v_minus - v_plus])]
     )
@@ -223,7 +205,6 @@ def _sigma_from_weight(w: float, mode: str) -> float:
 
 def fit_phase_noise_model(
     data: SqueezingDataset,
-    omega_norm: float = 0.0,
     mode: str = "small-angle",
     n_bootstrap: int = 200,
     bootstrap_seed: int = 0,
@@ -249,7 +230,7 @@ def fit_phase_noise_model(
         unc = np.ones_like(unc)
     # Whiten each branch by its own absolute 1-sigma error.
     scale = np.concatenate([unc * vm, unc * vp])
-    A = _affine_design(eps, omega_norm) / scale[:, None]
+    A = _affine_design(eps) / scale[:, None]
     y = (np.concatenate([vm, vp]) - 1.0) / scale
     try:
         cov = np.linalg.inv(A.T @ A)

@@ -9,6 +9,7 @@ quantities measured here.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .estimation import integrate_psd, welch_psd
-from .model import PhysicsDomainError, TimeSeries, fork_join, sample_budget
+from .estimation import PsdEstimate, SqueezingDataset, apply_calibration, band_power_scatter, integrate_psd, welch_psd
+from .model import DetectionParams, PhysicsDomainError, TimeSeries, fork_join, sample_budget, usable_cpus
 from .nopo import LockFieldState
 from .spectra import two_mode_variance
 
@@ -86,7 +87,7 @@ class LockRunResult:
     def common_mode_theta(self) -> TimeSeries:
         """Pointwise average of the two arm residuals."""
         common = 0.5 * (self.residual_theta_s.samples + self.residual_theta_i.samples)
-        return TimeSeries(self.residual_theta_s.sample_rate, common, "rad")
+        return TimeSeries(self.residual_theta_s.sample_rate, common)
 
 
 def _sample_count(duration: float, rate: float) -> int:
@@ -113,7 +114,7 @@ def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> Ti
         out += amp * np.sin(2.0 * np.pi * freq * t + phase)
     if spec.ramp_rate != 0.0:
         out += spec.ramp_rate * t
-    return TimeSeries(sample_rate=rate, samples=out, label="rad")
+    return TimeSeries(sample_rate=rate, samples=out)
 
 
 def error_signal(theta, amp_lo, amp_cl):
@@ -187,8 +188,8 @@ def run_closed_loop(
             if late > 10.0 * max(early, 1e-12) and late > 1.0:
                 unstable = True
     return LockRunResult(
-        residual_theta_s=TimeSeries(rate, res_s, "rad"),
-        residual_theta_i=TimeSeries(rate, res_i, "rad"),
+        residual_theta_s=TimeSeries(rate, res_s),
+        residual_theta_i=TimeSeries(rate, res_i),
         saturation_events=sat_times,
         in_lock_fraction=in_lock,
         unstable=unstable,
@@ -227,7 +228,7 @@ def synth_theta_process(
         x *= sigma / std
     else:
         x = np.zeros(n)
-    return TimeSeries(sample_rate=rate, samples=x, label="rad")
+    return TimeSeries(sample_rate=rate, samples=x)
 
 
 def synth_epr_photocurrents(
@@ -312,17 +313,14 @@ def synth_epr_photocurrents(
         dark = 10.0 ** (-DARK_NOISE_CLEARANCE_DB / 20.0)
         add_noise(q_s, dark)
         add_noise(q_i, dark)
-    return (
-        TimeSeries(sample_rate=rate, samples=q_s, label="shot-noise units"),
-        TimeSeries(sample_rate=rate, samples=q_i, label="shot-noise units"),
-    )
+    return TimeSeries(sample_rate=rate, samples=q_s), TimeSeries(sample_rate=rate, samples=q_i)
 
 
 def shot_noise_reference(duration: float, rate: float, rng_seed: int) -> TimeSeries:
     """Unit-variance white record used as the shot-noise normalization."""
     n = _sample_count(duration, rate)
     rng = np.random.default_rng(rng_seed)
-    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n), label="shot-noise units")
+    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n))
 
 
 def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
@@ -333,18 +331,83 @@ def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
     return integrate_psd(welch_psd(series), f_lo, f_hi)
 
 
-def band_rms(
-    series: TimeSeries, f_lo: float, f_hi: float, shot_reference: TimeSeries | float
-) -> float:
-    """Band-integrated PSD of ``series`` normalized to the shot reference.
+def band_rms(series: TimeSeries, f_lo: float, f_hi: float, shot_power: float) -> float:
+    """Band variance of ``series`` over [f_lo, f_hi] in shot-noise units: the squared
+    ratio of its ``band_power`` to ``shot_power``, the shot-noise record's over the band."""
+    return (band_power(series, f_lo, f_hi) / shot_power) ** 2
 
-    ``shot_reference`` is the shot-noise record, or its ``band_power`` over
-    the same band when several series share one reference. Returns a
-    variance in shot-noise units (the squared normalized RMS).
+
+def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, PsdEstimate]:
+    """fig3's calibration chain applied to a residual-phase record ``theta``.
+
+    A full fringe scan of the error signal at lock-field amplitude ``amp``
+    gives its peak-to-peak S_pp and beta = 2/S_pp; the error signal of
+    ``theta``, scaled by beta, is then Welch-estimated. Returns
+    (S_pp, beta, PSD of the calibrated phase).
     """
-    if isinstance(shot_reference, TimeSeries):
-        if shot_reference.sample_rate != series.sample_rate:
-            raise ValueError("shot reference must share the series sample rate")
-        shot_reference = band_power(shot_reference, f_lo, f_hi)
-    num = band_power(series, f_lo, f_hi)
-    return (num / shot_reference) ** 2
+    phase_scan = np.linspace(0.0, 2.0 * np.pi, 4096)
+    fringe = TimeSeries(theta.sample_rate, error_signal(phase_scan, 1.0, amp))
+    s_pp, beta = calibrate_error_signal(fringe, float(phase_scan[-1] - phase_scan[0]))
+    raw = TimeSeries(theta.sample_rate, error_signal(theta.samples, 1.0, amp))
+    return s_pp, beta, welch_psd(apply_calibration(raw, beta))
+
+
+def fig4_point(
+    epsilon: float, detection: DetectionParams, gamma: float, sigma_theta: float, theta_cutoff: float,
+    duration: float, rate: float, f_lo: float, f_hi: float, rng_seed: int,
+) -> tuple[float, float, float, float]:
+    """One pump point of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
+
+    Photocurrents at pump ``epsilon`` and total decay rate ``gamma`` carry a
+    low-pass theta record of RMS ``sigma_theta``; their joint quadratures'
+    band variances over [f_lo, f_hi] are normalized to a shot-noise record.
+    Every record it draws dies inside it, and its seeds derive from
+    ``rng_seed`` alone, so points can run in any order or at once.
+    """
+    g = detection.idler_weight
+    q_s, q_i = synth_epr_photocurrents(
+        epsilon,
+        detection.eta_s,
+        detection.eta_i,
+        gamma,
+        synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1),
+        duration,
+        rate,
+        rng_seed,
+    )
+    shot_power = band_power(shot_noise_reference(duration, rate, rng_seed + 2), f_lo, f_hi)
+    # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
+    # detection.eta exactly; q_i is weighted in place.
+    q_s, q_i = q_s.samples, q_i.samples
+    q_i *= g
+    norm = math.hypot(1.0, g)
+    vm = band_rms(TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
+    vp = band_rms(TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
+    return epsilon, vm, vp, band_power_scatter(q_s.size, rate, f_lo, f_hi)
+
+
+def fig4_dataset(
+    epsilons: list[float], detection: DetectionParams, gamma: float, sigma_theta: float, theta_cutoff: float,
+    duration: float, rate: float, f_lo: float, f_hi: float, seed: int,
+) -> SqueezingDataset:
+    """fig4's points, ``fig4_point`` k at rng_seed seed + 1000 (k + 1), computed
+    on up to one thread per usable CPU.
+
+    The points share no data and their time is spent in numpy calls that
+    release the GIL. Results are taken in point order, so the dataset and
+    the first failing point's exception are those of a serial loop.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here: its import would cost every command
+
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
+    settings = (detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi)
+    try:
+        # A worker thread starts from a fresh context; the caller's may hold an np.errstate.
+        futures = [
+            pool.submit(contextvars.copy_context().run, fig4_point, eps, *settings, seed + 1000 * (k + 1))
+            for k, eps in enumerate(epsilons)
+        ]
+        points = [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return SqueezingDataset(points=tuple(points))

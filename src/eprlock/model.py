@@ -143,7 +143,6 @@ class TimeSeries:
 
     sample_rate: float
     samples: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         _require_finite("sample_rate", self.sample_rate)
@@ -281,26 +280,14 @@ class DetectionParams:
 
 @dataclass(frozen=True)
 class PhaseNoiseSpec:
-    """Per-arm residual phase-noise standard deviations and covariance."""
+    """Standard deviation (rad) of the common-mode residual phase theta."""
 
-    sigma_s: float
-    sigma_i: float
-    cov_si: float = 0.0
+    sigma_theta: float
 
     def __post_init__(self):
         _require_finite_fields(self)
-        if self.sigma_s < 0 or self.sigma_i < 0:
-            raise ValueError("sigma must be non-negative")
-        if abs(self.cov_si) > self.sigma_s * self.sigma_i + 1e-15:
-            raise ValueError("cov_si violates the Cauchy-Schwarz bound")
-
-    @property
-    def sigma_theta(self) -> float:
-        """Common-mode standard deviation sqrt((s^2 + i^2 + 2 cov)/4)."""
-        var = (self.sigma_s**2 + self.sigma_i**2 + 2.0 * self.cov_si) / 4.0
-        if var < 0:
-            raise PhysicsDomainError("negative common-mode variance")
-        return math.sqrt(var)
+        if self.sigma_theta < 0:
+            raise ValueError("sigma_theta must be non-negative")
 
 
 def complex_to_pair(z: complex) -> list[float]:

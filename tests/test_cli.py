@@ -257,6 +257,12 @@ class TestRejectedSettings:
             ["calibrate", "--input", "{nan_value}"],
             ["integrate", "--set", "integrate.dt_over_gamma=0"],
             ["lock-sim", "--set", "lock_sim.disturbance_pump.sinusoids=[5]"],
+            ["steady-state", "--set", "phase_noise.sigma_s=0.01"],
+            ["calibrate", "--input", "{t_only}"],
+            ["calibrate", "--input", "{no_t}"],
+            ["calibrate", "--input", "{narrow}"],
+            ["steady-state", "--out", "{one_row}"],
+            ["steady-state", "--out", "{one_row}/run"],
         ],
         ids=lambda args: " ".join(args),
     )
@@ -269,15 +275,23 @@ class TestRejectedSettings:
             "nan_value": "t,value\n" + "".join(f"{k},{'nan' if k == 5 else k % 3}\n" for k in range(2000)),
             "three_rows": dataset,
             "dataset": dataset + "0.7,0.3,12.0,0.01\n",
+            "t_only": "t\n0\n1\n2\n",
+            # "signal" would be read as its own time column.
+            "no_t": "signal,phase\n" + "".join(f"{k / 100},{k / 10}\n" for k in range(70)),
+            "narrow": "t,phase,signal\n0,1\n1,2\n2,3\n",
         }
         for name, text in tables.items():
             (tmp_path / f"{name}.csv").write_text(text)
         args = [a.format(**{k: str(tmp_path / f"{k}.csv") for k in tables}) for a in args]
         out = tmp_path / "run"
-        assert cli.main(args + ["--out", str(out)]) == 2
+        # An --out that cannot be created or written is named in the error.
+        named = args[args.index("--out") + 1] if "--out" in args else None
+        assert cli.main(args if named else args + ["--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "config"
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert named is None or named in err["message"]
         assert not out.exists()
 
 
@@ -463,11 +477,10 @@ class TestFig4Points:
     @pytest.mark.parametrize("seed", [1, 7, 2024])
     def test_dataset_is_the_points_in_order(self, seed):
         """The thread pool returns what a serial loop over the points returns."""
-        cfg = cli.load_config(None, ["reproduce_fig4.duration=0.2", f"run.rng_seed={seed}"])
-        sys_cfg = cli._system_config(cfg)
-        block = cfg["reproduce_fig4"]
-        serial = [cli._fig4_point(block, sys_cfg, seed, k, eps) for k, eps in enumerate(block["epsilons"])]
-        assert cli._fig4_dataset(cfg, sys_cfg).points == tuple(serial)
+        epsilons = cli.DEFAULT_CONFIG["reproduce_fig4"]["epsilons"]
+        records = (model.DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, 0.2, 2e5, 5e3, 1.5e4)
+        serial = [locksim.fig4_point(eps, *records, seed + 1000 * (k + 1)) for k, eps in enumerate(epsilons)]
+        assert locksim.fig4_dataset(epsilons, *records, seed).points == tuple(serial)
 
 
 class TestSynthEprCommand:
@@ -807,8 +820,8 @@ _CELLS = ["0", "0.01", "0.3", "0.9", "1", "-1", "20", "5e-324", "1e-300", "1e300
 
 
 class TestConfigContract:
-    def test_default_config_has_70_leaves(self):
-        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 70
+    def test_default_config_has_68_leaves(self):
+        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 68
 
     @settings(deadline=None, max_examples=120)
     @given(

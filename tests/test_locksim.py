@@ -363,7 +363,7 @@ class TestSynthEprPhotocurrents:
 
     def test_difference_current_is_squeezed(self):
         q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 5.0, 2e5, 3)
-        shot = locksim.shot_noise_reference(5.0, 2e5, 4)
+        shot = locksim.band_power(locksim.shot_noise_reference(5.0, 2e5, 4), 5e3, 1.5e4)
         minus = locksim.TimeSeries(2e5, (q_s.samples - q_i.samples) / math.sqrt(2.0))
         plus = locksim.TimeSeries(2e5, (q_s.samples + q_i.samples) / math.sqrt(2.0))
         vm = locksim.band_rms(minus, 5e3, 1.5e4, shot)
@@ -381,11 +381,8 @@ class TestSynthEprPhotocurrents:
         g = detection.idler_weight
         q_s, q_i = locksim.synth_epr_photocurrents(eps, eta_s, eta_i, self.GAMMA, None, duration, rate, 11)
         shot = locksim.band_power(locksim.shot_noise_reference(duration, rate, 12), f_lo, f_hi)
-        # Relative scatter of a ratio of two band powers: sqrt(2) over
-        # sqrt(averaged segments x bins in band).
-        n = int(duration * rate)
-        nperseg = estimation.default_segment_length(n)
-        scatter = math.sqrt(2.0 / ((2 * n // nperseg - 1) * int((f_hi - f_lo) * nperseg / rate)))
+        # Relative scatter of a ratio of two independent band powers.
+        scatter = math.sqrt(2.0) * estimation.band_power_scatter(q_s.samples.size, rate, f_lo, f_hi)
         omega = 0.5 * (f_lo + f_hi) / self.GAMMA
         for sign, s in (("minus", -1.0), ("plus", 1.0)):
             joint = locksim.TimeSeries(rate, (q_s.samples + s * g * q_i.samples) / math.sqrt(1.0 + g * g))
@@ -420,14 +417,14 @@ class TestSynthEprPhotocurrents:
 
     def test_theta_rotates_the_quadratures(self):
         n, rate = 20000, 1e5
-        quarter_turn = locksim.TimeSeries(rate, np.full(n, math.pi / 2), "rad")
+        quarter_turn = locksim.TimeSeries(rate, np.full(n, math.pi / 2))
         q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, quarter_turn, n / rate, rate, 3)
         # Turned by pi/2, the difference current carries the anti-squeezed quadrature.
         assert np.var(q_s.samples - q_i.samples) / 2.0 == pytest.approx(81.0, rel=0.1)
 
     @pytest.mark.parametrize("rate, n", [(2e4, 1000), (1e4, 999), (1e4, 1001)])
     def test_theta_record_must_match_rate_and_length(self, rate, n):
-        theta = locksim.TimeSeries(rate, np.zeros(n), "rad")
+        theta = locksim.TimeSeries(rate, np.zeros(n))
         with pytest.raises(ValueError, match="theta"):
             locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 0.1, 1e4, 0)
 
@@ -444,18 +441,26 @@ class TestSampleBudget:
         assert locksim._sample_count(MAX_SAMPLES / 1e4, 1e4) == MAX_SAMPLES
 
 
+class TestCalibratedThetaPsd:
+    def test_recovers_the_rms_of_a_small_tone(self):
+        """The fringe scan's beta undoes the lock-field amplitude, so the
+        calibrated PSD integrates to the RMS of a small-angle theta."""
+        rate, n, amp = 1e4, 40000, 0.7
+        theta = locksim.TimeSeries(rate, 0.01 * np.sin(2.0 * np.pi * 250.0 * np.arange(n) / rate))
+        s_pp, beta, psd = locksim.calibrated_theta_psd(theta, amp)
+        assert s_pp == pytest.approx(2.0 * amp, rel=1e-6)
+        assert beta == 2.0 / s_pp
+        rms = estimation.integrate_psd(psd, psd.frequencies[1], psd.frequencies[-1])
+        assert rms == pytest.approx(0.01 / math.sqrt(2.0), rel=1e-3)
+
+
 class TestBandRms:
     def test_white_noise_is_unit_ratio(self):
         a = locksim.shot_noise_reference(5.0, 1e5, 1)
         b = locksim.shot_noise_reference(5.0, 1e5, 2)
-        assert locksim.band_rms(a, 1e3, 2e4, b) == pytest.approx(1.0, rel=0.05)
+        assert locksim.band_rms(a, 1e3, 2e4, locksim.band_power(b, 1e3, 2e4)) == pytest.approx(1.0, rel=0.05)
 
-    def test_band_and_rate_guards(self):
+    def test_band_past_nyquist_is_refused(self):
         a = locksim.shot_noise_reference(1.0, 1e4, 1)
-        b = locksim.shot_noise_reference(1.0, 2e4, 2)
-        # shot reference at a different sample rate
         with pytest.raises(ValueError):
-            locksim.band_rms(a, 1e3, 4e3, b)
-        # band extends past Nyquist
-        with pytest.raises(ValueError):
-            locksim.band_rms(a, 1e3, 6e3, a)
+            locksim.band_rms(a, 1e3, 6e3, 1.0)

@@ -139,17 +139,18 @@ class TestDetectionParams:
 
 
 class TestPhaseNoiseSpec:
-    def test_uncorrelated_common_mode(self):
-        spec = PhaseNoiseSpec(sigma_s=0.01, sigma_i=0.01, cov_si=0.0)
-        assert spec.sigma_theta == pytest.approx(0.01 / math.sqrt(2.0))
+    def test_default_is_the_old_per_arm_common_mode(self):
+        """The default sigma_theta has the bits of the common mode
+        sqrt((s^2 + i^2 + 2 cov)/4) of the per-arm defaults it replaced."""
+        from eprlock.cli import DEFAULT_CONFIG
 
-    def test_fully_correlated_common_mode(self):
-        spec = PhaseNoiseSpec(sigma_s=0.01, sigma_i=0.01, cov_si=1e-4)
-        assert spec.sigma_theta == pytest.approx(0.01)
+        s = i = 0.01414213562373095
+        spec = PhaseNoiseSpec(**DEFAULT_CONFIG["phase_noise"])
+        assert spec.sigma_theta == math.sqrt((s**2 + i**2 + 2.0 * 0.0) / 4.0)
 
-    def test_cauchy_schwarz_enforced(self):
-        with pytest.raises(ValueError):
-            PhaseNoiseSpec(sigma_s=0.01, sigma_i=0.01, cov_si=2e-4)
+    def test_negative_sigma_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PhaseNoiseSpec(sigma_theta=-0.01)
 
 
 class TestNonFiniteFieldsRejected:
@@ -162,7 +163,7 @@ class TestNonFiniteFieldsRejected:
             (CavityParams, {"gamma_in": 0.5, "gamma_out": 0.5, "mu": math.inf}),
             (SeedParams, {"alpha_cl": math.nan}),
             (DetectionParams, {"eta_s": 0.9, "eta_i": math.nan}),
-            (PhaseNoiseSpec, {"sigma_s": 0.01, "sigma_i": math.inf}),
+            (PhaseNoiseSpec, {"sigma_theta": math.inf}),
             (FrequencyPlan, {"lambda_s": 1e-6, "lambda_i": 1e-6, "lambda_p": math.nan}),
         ],
     )
@@ -185,7 +186,7 @@ def _valid_raw():
         "pump": {"epsilon": 0.8, "phi_p": 0.0},
         "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
         "detection": {"eta_s": 0.89, "eta_i": 0.89},
-        "phase_noise": {"sigma_s": 0.01, "sigma_i": 0.01},
+        "phase_noise": {"sigma_theta": 0.01},
     }
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eprlock.model import DetectionParams, PhaseNoiseSpec, PhysicsDomainError, db
+from eprlock.model import DetectionParams, PhysicsDomainError, db
 from eprlock import spectra
 
 # Frozen values at the epsilon = 0.8, eta = 0.89 operating point, zero frequency:
@@ -120,12 +120,6 @@ class TestPhaseNoiseVariance:
             spectra.phase_noise_variance(VM_OP, VP_OP, -0.01)
         with pytest.raises(ValueError):
             spectra.phase_noise_variance(VM_OP, VP_OP, 0.01, "bogus")
-
-
-class TestSigmaThetaCommon:
-    def test_delegates_to_spec(self):
-        spec = PhaseNoiseSpec(sigma_s=0.014, sigma_i=0.014, cov_si=0.0)
-        assert spec.sigma_theta == pytest.approx(0.014 / math.sqrt(2.0))
 
 
 class TestDuanSimon:
