@@ -219,8 +219,11 @@ def fit_phase_noise_model(
     two is reported). A sigma_Theta pinned at 0 reports the one-sided bound
     sqrt(s_err) of s = sigma_Theta^2. A sigma_Theta at its 0.5 rad upper
     bound, or an eta_hat of 0, which leaves sigma_Theta free, is a
-    NumericalError.
+    NumericalError. ``n_bootstrap`` 0 skips the bootstrap; a negative one is
+    a ValueError.
     """
+    if n_bootstrap < 0:
+        raise ValueError(f"n_bootstrap = {n_bootstrap} is negative (0 skips the bootstrap)")
     if len(data.points) < 4:
         raise ValueError("need at least 4 data points")
     w_max = phase_noise_weight(_SIGMA_MAX, mode)

@@ -108,7 +108,12 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     return res, sat
 
 
-def one_pole_lowpass(x, alpha):
+# Samples past the record that ``one_pole_lowpass`` scans at most: it pads
+# the record to whole blocks of up to 64.
+LOWPASS_PAD = 63
+
+
+def one_pole_lowpass(x, alpha, out=None):
     """First-order IIR low-pass y[k] = alpha*x[k] + (1 - alpha)*y[k-1], y[-1] = 0.
 
     A blocked scan (Blelloch 1990) with a = 1 - alpha. The value that enters
@@ -118,18 +123,29 @@ def one_pole_lowpass(x, alpha):
     block's first input makes the blocks independent, and each is solved
     by y[j] = a^j cumsum(alpha x[i] a^-i). The block shrinks for small a so
     that a^-(b-1) stays below 1e150 and the scaled cumsum cannot overflow.
-    Everything runs in place in the one output buffer.
+    Everything runs in place in the one output buffer: a new one, or
+    ``out``, which must hold ``len(x) + LOWPASS_PAD`` samples and may
+    begin with ``x`` itself. The result is its first ``len(x)`` samples.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     x = np.asarray(x, dtype=float)
     a = 1.0 - alpha
-    if a == 0.0:
-        return x.copy()
-    b = 64 if a**63 >= 1e-150 else 1 + int(-150.0 / math.log10(a))
     n = x.size
+    if out is not None and out.size < n + LOWPASS_PAD:
+        raise ValueError(f"out holds {out.size} samples; the scan needs {n + LOWPASS_PAD}")
+    if a == 0.0:
+        if out is None:
+            return x.copy()
+        out[:n] = x
+        return out[:n]
+    b = 64 if a**63 >= 1e-150 else 1 + int(-150.0 / math.log10(a))
     rows = -(-n // b)
-    y = np.zeros(rows * b)
+    if out is None:
+        y = np.zeros(rows * b)
+    else:
+        y = out[: rows * b]
+        y[n:] = 0.0
     np.multiply(x, alpha, out=y[:n])
     blocks = y.reshape(rows, b)
     powers = a ** np.arange(b)

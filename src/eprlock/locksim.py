@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextvars
 import math
 import mmap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,22 +213,71 @@ def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
     return s_pp, 2.0 / s_pp
 
 
+@dataclass(frozen=True, eq=False)
+class RecordBuffers:
+    """Scratch for the records of one pump point, reused from point to point.
+
+    ``synth_theta_process``, ``synth_epr_photocurrents`` and
+    ``shot_noise_reference`` draw into a set when given one and into a fresh
+    set when not. A record drawn into a set lives until the next draw into
+    the same buffer, so one set serves one thread. The buffers, and what
+    uses each in turn:
+
+    - ``theta`` (n + ``kernels.LOWPASS_PAD``, for the low-pass scan): the
+      theta record, then the photocurrents' orthogonal draws, then fig4's
+      joint quadratures;
+    - ``minus``: q_minus, returned as q_i;
+    - ``plus``: q_plus, then the vacuum and dark-noise draws, then the
+      shot-noise reference;
+    - ``mix``: theta's deviations from its mean, cos and sin theta, then q_s;
+    - ``spectrum``: one record's rfft spectrum, as 2 (n // 2 + 1) floats;
+    - ``gain``: the n // 2 + 1 bin gains of that spectrum.
+    """
+
+    theta: np.ndarray
+    minus: np.ndarray
+    plus: np.ndarray
+    mix: np.ndarray
+    spectrum: np.ndarray
+    gain: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int) -> RecordBuffers:
+        """A set for n-sample records."""
+        m = n // 2 + 1
+        records = (np.empty(n) for _ in range(3))
+        return cls(np.empty(n + kernels.LOWPASS_PAD), *records, spectrum=np.empty(2 * m), gain=np.empty(m))
+
+    @classmethod
+    def for_records(cls, buffers: RecordBuffers | None, n: int) -> RecordBuffers:
+        """``buffers`` if it holds n-sample records, a fresh set if it is None."""
+        if buffers is None:
+            return cls.empty(n)
+        if buffers.minus.size != n:
+            raise ValueError(f"record buffers hold {buffers.minus.size} samples, the record {n}")
+        return buffers
+
+
 def synth_theta_process(
-    sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int
+    sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int, *, buffers: RecordBuffers | None = None
 ) -> TimeSeries:
-    """Stationary low-pass Gaussian phase process with exact RMS ``sigma``."""
+    """Stationary low-pass Gaussian phase process with exact RMS ``sigma``,
+    drawn into ``buffers.theta``."""
     if not cutoff > 0:
         raise ValueError(f"theta cutoff must be positive, got {cutoff}")
     n = _sample_count(duration, rate)
+    buffers = RecordBuffers.for_records(buffers, n)
     rng = np.random.default_rng(rng_seed)
-    white = rng.standard_normal(n)
+    white = rng.standard_normal(n, out=buffers.theta[:n])
     alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
-    x = kernels.one_pole_lowpass(white, alpha)
-    std = float(np.std(x))
+    x = kernels.one_pole_lowpass(white, alpha, out=buffers.theta)
+    # np.std(x), operation for operation, with its squared deviations in a buffer.
+    dev = np.subtract(x, x.sum() / n, out=buffers.mix)
+    std = math.sqrt(np.square(dev, out=dev).sum() / n)
     if sigma > 0 and std > 0:
         x *= sigma / std
     else:
-        x = np.zeros(n)
+        x.fill(0.0)
     return TimeSeries(sample_rate=rate, samples=x)
 
 
@@ -241,6 +291,8 @@ def synth_epr_photocurrents(
     rate: float,
     rng_seed: int,
     dark_noise: bool = False,
+    *,
+    buffers: RecordBuffers | None = None,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Correlated homodyne photocurrent records with EPR statistics.
 
@@ -249,52 +301,57 @@ def synth_epr_photocurrents(
     drawn as rfft spectra shaped by the corrected squeezing/anti-squeezing
     Lorentzians, rotated per sample by ``theta``, transformed to the per-arm
     currents, and mixed with vacuum for the 1-eta loss of each arm.
+
+    The records are drawn into ``buffers`` and returned in ``buffers.mix``
+    (q_s) and ``buffers.minus`` (q_i). ``theta`` may be ``buffers.theta``'s
+    record, which this spends, but no other record of the set.
     """
     if not 0.0 <= epsilon < 1.0:
         raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
     n = _sample_count(duration, rate)
     if theta is not None and (theta.sample_rate != rate or theta.samples.size != n):
         raise ValueError(f"theta record must hold {n} samples at {rate} Hz, like the photocurrents")
+    buffers = RecordBuffers.for_records(buffers, n)
     rng = np.random.default_rng(rng_seed)
     # rfft of unit white noise: E|X_k|^2 = n, half real and half imaginary but at DC and (n even) Nyquist.
     m = n // 2 + 1
     real_bins = [0, m - 1] if n % 2 == 0 else [0]
 
     def gain_for(sign: str) -> np.ndarray:
-        omega = np.fft.rfftfreq(n, d=1.0 / rate) / gamma
-        return np.sqrt(two_mode_variance(epsilon, 1.0, omega, sign) * (n / 2.0))
+        # np.fft.rfftfreq(n, d=1.0 / rate) / gamma, with rfftfreq's arithmetic, in the gain buffer.
+        omega = np.multiply(np.arange(m), 1.0 / (n * (1.0 / rate)), out=buffers.gain)
+        omega /= gamma
+        gain = two_mode_variance(epsilon, 1.0, omega, sign, out=omega)
+        gain *= n / 2.0
+        return np.sqrt(gain, out=gain)
 
-    def record(gain: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        spectrum = rng.standard_normal(2 * m).view(complex)
+    def record(gain: np.ndarray, out: np.ndarray) -> np.ndarray:
+        spectrum = rng.standard_normal(2 * m, out=buffers.spectrum).view(complex)
         spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
         spectrum *= gain
         return np.fft.irfft(spectrum, n, out=out)
 
     # In place, in the order of the plain expressions (q_minus*cos + orth*sin,
     # (q_plus +- q_minus)/sqrt(2), sqrt(eta)*q + sqrt(1 - eta)*vacuum): the bits
-    # are theirs, with at most four records alive. Records are drawn minus,
-    # plus, then (given theta) plus, minus. A gain lives only across its own
-    # records: both held for the whole call fragment a worker thread's heap,
-    # which cost a two-thread fig4 16 MB of peak RSS.
-    q_minus = record(gain_for("minus"))
+    # are theirs. Records are drawn minus, plus, then (given theta) plus,
+    # minus; the one gain buffer is refilled for each new sign.
+    q_minus = record(gain_for("minus"), buffers.minus)
     plus_gain = gain_for("plus")
-    q_plus = record(plus_gain)
+    q_plus = record(plus_gain, buffers.plus)
     if theta is not None:
-        cos = np.cos(theta.samples)
-        q_minus *= cos
-        q_plus *= cos
-        del cos
-        # The two orthogonal records share one buffer, each drawn where it is mixed in.
-        orth = record(plus_gain)
-        del plus_gain
-        orth *= np.sin(theta.samples)
+        trig = np.cos(theta.samples, out=buffers.mix)
+        q_minus *= trig
+        q_plus *= trig
+        np.sin(theta.samples, out=trig)
+        # theta is spent: the two orthogonal records share its buffer, each drawn where it is mixed in.
+        orth = record(plus_gain, buffers.theta[:n])
+        orth *= trig
         q_minus += orth
         record(gain_for("minus"), out=orth)
-        orth *= np.sin(theta.samples)
+        orth *= trig
         q_plus += orth
-        del orth
 
-    q_s = np.add(q_plus, q_minus)
+    q_s = np.add(q_plus, q_minus, out=buffers.mix)
     q_i = np.subtract(q_plus, q_minus, out=q_minus)
     spare = q_plus  # spent: the vacuum and dark-noise draws reuse it
     q_s /= math.sqrt(2.0)
@@ -316,15 +373,21 @@ def synth_epr_photocurrents(
     return TimeSeries(sample_rate=rate, samples=q_s), TimeSeries(sample_rate=rate, samples=q_i)
 
 
-def shot_noise_reference(duration: float, rate: float, rng_seed: int) -> TimeSeries:
-    """Unit-variance white record used as the shot-noise normalization."""
+def shot_noise_reference(
+    duration: float, rate: float, rng_seed: int, *, buffers: RecordBuffers | None = None
+) -> TimeSeries:
+    """Unit-variance white record used as the shot-noise normalization, drawn
+    into ``buffers.plus``."""
     n = _sample_count(duration, rate)
+    out = RecordBuffers.for_records(buffers, n).plus
     rng = np.random.default_rng(rng_seed)
-    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n))
+    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n, out=out))
 
 
 def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
     """RMS of ``series`` in [f_lo, f_hi] from its Welch PSD."""
+    if f_hi <= f_lo:
+        raise ValueError(f"band [{f_lo}, {f_hi}] is empty or reversed: its lower edge must lie below its upper")
     nyquist = series.sample_rate / 2.0
     if not 0.0 <= f_lo < f_hi <= nyquist:
         raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={nyquist}]")
@@ -354,35 +417,45 @@ def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, P
 
 def fig4_point(
     epsilon: float, detection: DetectionParams, gamma: float, sigma_theta: float, theta_cutoff: float,
-    duration: float, rate: float, f_lo: float, f_hi: float, rng_seed: int,
+    duration: float, rate: float, f_lo: float, f_hi: float, rng_seed: int, *, buffers: RecordBuffers | None = None,
 ) -> tuple[float, float, float, float]:
     """One pump point of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
 
     Photocurrents at pump ``epsilon`` and total decay rate ``gamma`` carry a
     low-pass theta record of RMS ``sigma_theta``; their joint quadratures'
     band variances over [f_lo, f_hi] are normalized to a shot-noise record.
-    Every record it draws dies inside it, and its seeds derive from
-    ``rng_seed`` alone, so points can run in any order or at once.
+    Every record it draws goes into ``buffers`` (a fresh set when none is
+    given), which it leaves free for the next point, and its seeds derive
+    from ``rng_seed`` alone, so points can run in any order or at once,
+    each thread with its own set.
     """
+    buffers = RecordBuffers.for_records(buffers, _sample_count(duration, rate))
     g = detection.idler_weight
     q_s, q_i = synth_epr_photocurrents(
         epsilon,
         detection.eta_s,
         detection.eta_i,
         gamma,
-        synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1),
+        synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1, buffers=buffers),
         duration,
         rate,
         rng_seed,
+        buffers=buffers,
     )
-    shot_power = band_power(shot_noise_reference(duration, rate, rng_seed + 2), f_lo, f_hi)
+    shot_power = band_power(shot_noise_reference(duration, rate, rng_seed + 2, buffers=buffers), f_lo, f_hi)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
-    # detection.eta exactly; q_i is weighted in place.
+    # detection.eta exactly; q_i is weighted in place and each joint
+    # quadrature formed in the spent theta buffer.
     q_s, q_i = q_s.samples, q_i.samples
     q_i *= g
     norm = math.hypot(1.0, g)
-    vm = band_rms(TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
-    vp = band_rms(TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
+    joint = buffers.theta[: q_s.size]
+    np.subtract(q_s, q_i, out=joint)
+    joint /= norm
+    vm = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power)
+    np.add(q_s, q_i, out=joint)
+    joint /= norm
+    vp = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power)
     return epsilon, vm, vp, band_power_scatter(q_s.size, rate, f_lo, f_hi)
 
 
@@ -394,17 +467,26 @@ def fig4_dataset(
     on up to one thread per usable CPU.
 
     The points share no data and their time is spent in numpy calls that
-    release the GIL. Results are taken in point order, so the dataset and
-    the first failing point's exception are those of a serial loop.
+    release the GIL. Each thread draws every point it runs into its own one
+    set of ``RecordBuffers``, made at its first point and dropped with the
+    pool. Results are taken in point order, so the dataset and the first
+    failing point's exception are those of a serial loop.
     """
     from concurrent.futures import ThreadPoolExecutor  # here: its import would cost every command
 
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
     settings = (detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi)
+    local = threading.local()
+
+    def point(epsilon, rng_seed):
+        if not hasattr(local, "buffers"):
+            local.buffers = RecordBuffers.empty(_sample_count(duration, rate))
+        return fig4_point(epsilon, *settings, rng_seed, buffers=local.buffers)
+
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
     try:
         # A worker thread starts from a fresh context; the caller's may hold an np.errstate.
         futures = [
-            pool.submit(contextvars.copy_context().run, fig4_point, eps, *settings, seed + 1000 * (k + 1))
+            pool.submit(contextvars.copy_context().run, point, eps, seed + 1000 * (k + 1))
             for k, eps in enumerate(epsilons)
         ]
         points = [future.result() for future in futures]

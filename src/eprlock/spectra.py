@@ -29,12 +29,13 @@ def _check_sign(sign: str) -> None:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
 
 
-def two_mode_variance(epsilon, eta, omega_norm, sign: str):
+def two_mode_variance(epsilon, eta, omega_norm, sign: str, out=None):
     """Noise variance of the joint quadrature Q+- at normalized frequency omega_norm.
 
     Shot-noise units: 1.0 is the two-mode vacuum level. ``epsilon`` and
     ``omega_norm`` broadcast against each other; a float is returned when
-    both are scalars.
+    both are scalars. ``out``, an array of the broadcast shape (``omega_norm``
+    itself among them), receives the result instead of a new one.
     """
     _check_sign(sign)
     eps = np.asarray(epsilon, dtype=float)
@@ -46,7 +47,7 @@ def two_mode_variance(epsilon, eta, omega_norm, sign: str):
     omega = np.asarray(omega_norm, dtype=float)
     # 1 -+ eta*4*eps/(omega^2 + (1 +- eps)^2), evaluated in one output buffer
     # with the operations of that expression in its order.
-    result = np.empty(np.broadcast_shapes(eps.shape, omega.shape))
+    result = np.empty(np.broadcast_shapes(eps.shape, omega.shape)) if out is None else out
     np.square(omega, out=result)
     result += np.square(1.0 + eps if sign == "minus" else 1.0 - eps)
     np.divide(eta * 4.0 * eps, result, out=result)

@@ -35,6 +35,19 @@ def _read_csv(path):
     return rows[0], np.array([[float(x) for x in row] for row in rows[1:]])
 
 
+@pytest.fixture(params=[1, 2, 4], ids=lambda workers: f"{workers}-workers")
+def fig4_workers(request, monkeypatch):
+    """fig4_dataset on 1, 2 or 4 worker threads (4 is more than a 2-core host
+    has), with the interpreter switching threads every microsecond."""
+    monkeypatch.setattr(locksim, "usable_cpus", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestConfigHandling:
     def test_defaults_returned_without_file(self):
         cfg = cli.load_config(None, [])
@@ -197,7 +210,7 @@ class TestExitCodes:
         assert json.loads(lines[0])["type"] == "FloatingPointError"
         assert not out.exists()
 
-    def test_first_failing_fig4_point_is_reported(self, tmp_path, capsys):
+    def test_first_failing_fig4_point_is_reported(self, tmp_path, capsys, fig4_workers):
         # Points 1 and 3 both fail; a serial loop would stop at point 1.
         args = ["--set", "reproduce_fig4.epsilons=[0.1, 1.5, 0.2, 2.0]", "--set", "reproduce_fig4.duration=0.05"]
         assert cli.main(["reproduce", "fig4", *args, "--out", str(tmp_path / "o")]) == 3
@@ -251,6 +264,9 @@ class TestRejectedSettings:
             ["fit", "--input", "{dataset}", "--set", "fit_settings.mode=bogus"],
             ["fit", "--input", "{three_rows}"],
             ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.band=[0,2e6]"],
+            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.band=[15000, 5000]"],
+            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.n_bootstrap=-1"],
+            ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=-1"],
             ["psd", "--input", "{constant_t}"],
             ["calibrate", "--input", "{constant_t}"],
             ["psd", "--input", "{nan_value}"],
@@ -475,8 +491,9 @@ class TestReproduceFig3Command:
 
 class TestFig4Points:
     @pytest.mark.parametrize("seed", [1, 7, 2024])
-    def test_dataset_is_the_points_in_order(self, seed):
-        """The thread pool returns what a serial loop over the points returns."""
+    def test_dataset_is_the_points_in_order(self, seed, fig4_workers):
+        """The thread pool returns what a serial loop over the points returns,
+        each worker thread reusing its one set of record buffers."""
         epsilons = cli.DEFAULT_CONFIG["reproduce_fig4"]["epsilons"]
         records = (model.DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, 0.2, 2e5, 5e3, 1.5e4)
         serial = [locksim.fig4_point(eps, *records, seed + 1000 * (k + 1)) for k, eps in enumerate(epsilons)]

@@ -217,6 +217,10 @@ class TestFitPhaseNoiseModel:
         with pytest.raises(NumericalError, match="bound widths"):
             estimation.fit_phase_noise_model(ds, n_bootstrap=0)
 
+    def test_negative_bootstrap_is_rejected(self):
+        with pytest.raises(ValueError, match="n_bootstrap = -1 is negative"):
+            estimation.fit_phase_noise_model(_synthetic_dataset(0.89, 0.01, EPS_GRID), n_bootstrap=-1)
+
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             estimation.fit_phase_noise_model(_synthetic_dataset(0.89, 0.01, EPS_GRID), mode="bogus")

@@ -1,6 +1,7 @@
 """Unit tests for disturbance synthesis, the homodyne lock loops and EPR photocurrents."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +300,14 @@ class TestOnePoleLowpass:
         x = np.random.default_rng(seed).standard_normal(n)
         y = kernels.one_pole_lowpass(x, alpha)
         np.testing.assert_allclose(y, _one_pole_reference(x.tolist(), alpha), rtol=0.0, atol=1e-13)
+        # Into a stale buffer that begins with x itself: the same bits.
+        out = np.full(n + kernels.LOWPASS_PAD, np.nan)
+        out[:n] = x
+        assert kernels.one_pole_lowpass(out[:n], alpha, out=out).tobytes() == y.tobytes()
+
+    def test_out_shorter_than_the_padded_scan_rejected(self):
+        with pytest.raises(ValueError, match="needs 67"):
+            kernels.one_pole_lowpass(np.ones(4), 0.5, out=np.empty(66))
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
@@ -427,6 +436,204 @@ class TestSynthEprPhotocurrents:
         theta = locksim.TimeSeries(rate, np.zeros(n))
         with pytest.raises(ValueError, match="theta"):
             locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 0.1, 1e4, 0)
+
+
+def _reference_synth_theta_process(sigma, cutoff, duration, rate, rng_seed):
+    """synth_theta_process before it drew into record buffers."""
+    n = locksim._sample_count(duration, rate)
+    rng = np.random.default_rng(rng_seed)
+    white = rng.standard_normal(n)
+    alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
+    x = kernels.one_pole_lowpass(white, alpha)
+    std = float(np.std(x))
+    if sigma > 0 and std > 0:
+        x *= sigma / std
+    else:
+        x = np.zeros(n)
+    return locksim.TimeSeries(sample_rate=rate, samples=x)
+
+
+def _reference_synth_epr_photocurrents(epsilon, eta_s, eta_i, gamma, theta, duration, rate, rng_seed, dark_noise=False):
+    """synth_epr_photocurrents before it drew into record buffers."""
+    n = locksim._sample_count(duration, rate)
+    rng = np.random.default_rng(rng_seed)
+    m = n // 2 + 1
+    real_bins = [0, m - 1] if n % 2 == 0 else [0]
+
+    def gain_for(sign):
+        omega = np.fft.rfftfreq(n, d=1.0 / rate) / gamma
+        return np.sqrt(spectra.two_mode_variance(epsilon, 1.0, omega, sign) * (n / 2.0))
+
+    def record(gain, out=None):
+        spectrum = rng.standard_normal(2 * m).view(complex)
+        spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
+        spectrum *= gain
+        return np.fft.irfft(spectrum, n, out=out)
+
+    q_minus = record(gain_for("minus"))
+    plus_gain = gain_for("plus")
+    q_plus = record(plus_gain)
+    if theta is not None:
+        cos = np.cos(theta.samples)
+        q_minus *= cos
+        q_plus *= cos
+        del cos
+        orth = record(plus_gain)
+        del plus_gain
+        orth *= np.sin(theta.samples)
+        q_minus += orth
+        record(gain_for("minus"), out=orth)
+        orth *= np.sin(theta.samples)
+        q_plus += orth
+        del orth
+
+    q_s = np.add(q_plus, q_minus)
+    q_i = np.subtract(q_plus, q_minus, out=q_minus)
+    spare = q_plus
+    q_s /= math.sqrt(2.0)
+    q_i /= math.sqrt(2.0)
+
+    def add_noise(q, scale):
+        noise = rng.standard_normal(n, out=spare)
+        noise *= scale
+        q += noise
+
+    q_s *= math.sqrt(eta_s)
+    add_noise(q_s, math.sqrt(1.0 - eta_s))
+    q_i *= math.sqrt(eta_i)
+    add_noise(q_i, math.sqrt(1.0 - eta_i))
+    if dark_noise:
+        dark = 10.0 ** (-locksim.DARK_NOISE_CLEARANCE_DB / 20.0)
+        add_noise(q_s, dark)
+        add_noise(q_i, dark)
+    return locksim.TimeSeries(sample_rate=rate, samples=q_s), locksim.TimeSeries(sample_rate=rate, samples=q_i)
+
+
+def _reference_shot_noise_reference(duration, rate, rng_seed):
+    """shot_noise_reference before it drew into record buffers."""
+    n = locksim._sample_count(duration, rate)
+    return locksim.TimeSeries(sample_rate=rate, samples=np.random.default_rng(rng_seed).standard_normal(n))
+
+
+def _reference_fig4_point(epsilon, detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi, rng_seed):
+    """fig4_point before it drew into record buffers."""
+    g = detection.idler_weight
+    q_s, q_i = _reference_synth_epr_photocurrents(
+        epsilon,
+        detection.eta_s,
+        detection.eta_i,
+        gamma,
+        _reference_synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1),
+        duration,
+        rate,
+        rng_seed,
+    )
+    shot_power = locksim.band_power(_reference_shot_noise_reference(duration, rate, rng_seed + 2), f_lo, f_hi)
+    q_s, q_i = q_s.samples, q_i.samples
+    q_i *= g
+    norm = math.hypot(1.0, g)
+    vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
+    vp = locksim.band_rms(locksim.TimeSeries(rate, (q_s + q_i) / norm), f_lo, f_hi, shot_power)
+    return epsilon, vm, vp, estimation.band_power_scatter(q_s.size, rate, f_lo, f_hi)
+
+
+def _stale_buffers(n):
+    """A set of record buffers full of NaN, as if a failed draw had left them."""
+    buffers = locksim.RecordBuffers.empty(n)
+    for array in vars(buffers).values():
+        array.fill(np.nan)
+    return buffers
+
+
+def _same_records(got, ref):
+    assert len(got) == len(ref)
+    for q, r in zip(got, ref):
+        assert q.sample_rate == r.sample_rate
+        assert q.samples.tobytes() == r.samples.tobytes()
+
+
+class TestRecordBuffers:
+    """Records drawn into a reused set of buffers keep the bits of the bodies
+    that allocated every record."""
+
+    RATE = 2e4
+    # Lossless, unequal and dead-idler arms.
+    ARMS = [(1.0, 1.0), (0.95, 0.75), (0.9, 0.0)]
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    @pytest.mark.parametrize("sigma", [0.0, 0.02])
+    def test_theta_and_shot_records(self, n, sigma):
+        buffers = _stale_buffers(n)
+        for seed in (3, 4):  # the second draw reuses the set
+            got = locksim.synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, seed, buffers=buffers)
+            _same_records([got], [_reference_synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, seed)])
+            got = locksim.shot_noise_reference(n / self.RATE, self.RATE, seed, buffers=buffers)
+            _same_records([got], [_reference_shot_noise_reference(n / self.RATE, self.RATE, seed)])
+        unbuffered = locksim.synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, 3)
+        _same_records([unbuffered], [_reference_synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, 3)])
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    @pytest.mark.parametrize("theta_from", ["none", "set", "caller", "zero"])
+    @pytest.mark.parametrize("dark_noise", [False, True])
+    def test_photocurrents(self, n, theta_from, dark_noise):
+        buffers = _stale_buffers(n)
+        duration = n / self.RATE
+        for k, (eta_s, eta_i) in enumerate(self.ARMS):  # one set across all three draws
+            epsilon, seed = 0.3 + 0.2 * k, 50 + k
+            sigma = 0.0 if theta_from == "zero" else 0.05
+            theta = None
+            if theta_from != "none":
+                theta = locksim.synth_theta_process(
+                    sigma, 200.0, duration, self.RATE, seed + 1, buffers=buffers if theta_from != "caller" else None
+                )
+            ref_theta = None if theta is None else locksim.TimeSeries(self.RATE, theta.samples.copy())
+            args = (epsilon, eta_s, eta_i, 15e6)
+            got = locksim.synth_epr_photocurrents(
+                *args, theta, duration, self.RATE, seed, dark_noise=dark_noise, buffers=buffers
+            )
+            ref = _reference_synth_epr_photocurrents(*args, ref_theta, duration, self.RATE, seed, dark_noise)
+            _same_records(got, ref)
+            if theta_from == "caller":
+                np.testing.assert_array_equal(theta.samples, ref_theta.samples)  # a caller's theta is not spent
+        unbuffered = locksim.synth_epr_photocurrents(*args, ref_theta, duration, self.RATE, seed, dark_noise)
+        _same_records(unbuffered, ref)
+
+    @pytest.mark.parametrize("n", [4000, 4001])
+    def test_fig4_points_share_one_set(self, n):
+        buffers = _stale_buffers(n)
+        band = (2e3, 6e3)
+        points = [
+            (0.4, DetectionParams(0.95, 0.75), 0.01, 1000),
+            (0.7, DetectionParams(0.89, 0.89), 0.0, 2000),
+            (0.2, DetectionParams(0.6, 0.99), 0.03, 3000),
+        ]
+        for epsilon, detection, sigma, seed in points:
+            args = (epsilon, detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band, seed)
+            got = locksim.fig4_point(*args, buffers=buffers)
+            ref = _reference_fig4_point(*args)
+            assert got == ref
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            assert locksim.fig4_point(*args) == ref
+
+    def test_wrong_length_set_is_refused(self):
+        with pytest.raises(ValueError, match="record buffers hold 100 samples"):
+            locksim.shot_noise_reference(0.01, self.RATE, 0, buffers=locksim.RecordBuffers.empty(100))
+
+    def test_second_point_allocates_less_than_a_record(self):
+        """At the default 1M samples, a point drawn into a set that an earlier
+        point already used raises numpy's traced peak by less than one record."""
+        duration, rate = 5.0, 2e5
+        n = locksim._sample_count(duration, rate)
+        buffers = locksim.RecordBuffers.empty(n)
+        settings = (DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, duration, rate, 5e3, 1.5e4)
+        locksim.fig4_point(0.3, *settings, 1000, buffers=buffers)
+        tracemalloc.start()
+        try:
+            locksim.fig4_point(0.6, *settings, 2000, buffers=buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestSampleBudget:
