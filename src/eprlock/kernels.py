@@ -132,20 +132,17 @@ def one_pole_lowpass(x, alpha, out=None):
     x = np.asarray(x, dtype=float)
     a = 1.0 - alpha
     n = x.size
-    if out is not None and out.size < n + LOWPASS_PAD:
+    if out is None:
+        out = np.empty(n + LOWPASS_PAD)
+    elif out.size < n + LOWPASS_PAD:
         raise ValueError(f"out holds {out.size} samples; the scan needs {n + LOWPASS_PAD}")
     if a == 0.0:
-        if out is None:
-            return x.copy()
         out[:n] = x
         return out[:n]
     b = 64 if a**63 >= 1e-150 else 1 + int(-150.0 / math.log10(a))
     rows = -(-n // b)
-    if out is None:
-        y = np.zeros(rows * b)
-    else:
-        y = out[: rows * b]
-        y[n:] = 0.0
+    y = out[: rows * b]
+    y[n:] = 0.0
     np.multiply(x, alpha, out=y[:n])
     blocks = y.reshape(rows, b)
     powers = a ** np.arange(b)
