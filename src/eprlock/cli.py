@@ -4,9 +4,10 @@ Every run reads a JSON configuration (built-in defaults, optionally merged
 with a user file and ``--set`` dot-path overrides), executes one
 subcommand, and writes its artifacts plus a manifest recording the config
 hash, seed and tool version. Exit codes: 0 success, 2 config error (a
-config that does not match the shape of DEFAULT_CONFIG, or a value or input
-that a library call rejects with a plain ValueError), 3 physics domain
-error, 4 numerical failure.
+config that does not match the shape of DEFAULT_CONFIG, a value that the
+settings of its block refuse, or an input that a library call rejects with
+a plain ValueError; each simulated command checks its blocks before it
+draws anything), 3 physics domain error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -336,13 +337,8 @@ def _cmd_steady_state(cfg, sys_cfg, input_path):
 def _cmd_integrate(cfg, sys_cfg, input_path):
     gamma = sys_cfg.cavity.gamma_total
     block = cfg["integrate"]
-    traj = nopo.integrate_dynamics(
-        sys_cfg.cavity,
-        sys_cfg.pump,
-        sys_cfg.seed,
-        t_end=block["t_end_over_gamma"] / gamma,
-        dt=block["dt_over_gamma"] / gamma,
-    )
+    t_end, dt = block["t_end_over_gamma"] / gamma, block["dt_over_gamma"] / gamma
+    traj = nopo.integrate_dynamics(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed, t_end=t_end, dt=dt)
     header = ["t", "alpha_s_re", "alpha_s_im", "alpha_i_re", "alpha_i_im"]
     columns = [traj.times, traj.alpha_s.real, traj.alpha_s.imag, traj.alpha_i.real, traj.alpha_i.imag]
     return {"trajectory.csv": (header, columns)}
@@ -387,31 +383,14 @@ def _cmd_duan_simon(cfg, sys_cfg, input_path):
     vp_orth = spectra.orthogonal_variance(vp, vm, "plus")
     result = spectra.duan_simon(vm, vp_orth)
     sigma = sys_cfg.phase_noise.sigma_theta
-    sum_pn = spectra.phase_noise_variance(vm, vp, sigma) + spectra.phase_noise_variance(
-        vp_orth, vp, sigma
-    )
-    payload = {
-        "sum": result.total,
-        "entangled": result.entangled,
-        "sum_with_phase_noise": sum_pn,
-    }
-    return {"duan_simon.json": payload}
-
-
-def _run_lock(cfg, fields):
-    block = cfg["lock_sim"]
-    return locksim.run_closed_loop(
-        locksim.LoopConfig(**block["loop_s"]),
-        locksim.LoopConfig(**block["loop_i"]),
-        tuple(locksim.DisturbanceSpec(**block[f"disturbance_{arm}"]) for arm in ("s", "i", "pump")),
-        fields,
-        duration=block["duration"],
-        rate=block["rate"],
-    )
+    sum_pn = spectra.phase_noise_variance(vm, vp, sigma) + spectra.phase_noise_variance(vp_orth, vp, sigma)
+    return {"duan_simon.json": {"sum": result.total, "entangled": result.entangled, "sum_with_phase_noise": sum_pn}}
 
 
 def _cmd_lock_sim(cfg, sys_cfg, input_path):
-    result = _run_lock(cfg, nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed))
+    settings = locksim.LockSettings(**cfg["lock_sim"])
+    fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
+    result = locksim.run_closed_loop(settings, fields)
     theta_s, theta_i = result.residual_theta_s, result.residual_theta_i
     common = result.common_mode_theta.samples
     summary = {
@@ -420,35 +399,22 @@ def _cmd_lock_sim(cfg, sys_cfg, input_path):
         "saturation_count": int(result.saturation_events.size),
         "unstable": result.unstable,
     }
-    return {
-        "lock_traces.csv": (
-            ["t", "theta_s", "theta_i", "theta_common"],
-            [theta_s.times, theta_s.samples, theta_i.samples, common],
-        ),
-        "lock_summary.json": summary,
-    }
+    columns = [theta_s.times, theta_s.samples, theta_i.samples, common]
+    return {"lock_traces.csv": (["t", "theta_s", "theta_i", "theta_common"], columns), "lock_summary.json": summary}
 
 
 def _cmd_synth_epr(cfg, sys_cfg, input_path):
-    block = cfg["synth_epr"]
-    seed = cfg["run"]["rng_seed"]
+    settings = locksim.SynthSettings(**cfg["synth_epr"])
+    duration, rate, seed = settings.duration, settings.rate, cfg["run"]["rng_seed"]
     theta = None
-    if block["sigma_theta"] > 0:
-        theta = locksim.synth_theta_process(
-            block["sigma_theta"], block["theta_cutoff"], block["duration"], block["rate"], seed + 1
-        )
+    if settings.sigma_theta > 0:
+        theta = locksim.synth_theta_process(settings.sigma_theta, settings.theta_cutoff, duration, rate, seed + 1)
+    detection, gamma = sys_cfg.detection, sys_cfg.cavity.gamma_total
     q_s, q_i = locksim.synth_epr_photocurrents(
-        sys_cfg.pump.epsilon,
-        sys_cfg.detection.eta_s,
-        sys_cfg.detection.eta_i,
-        sys_cfg.cavity.gamma_total,
-        theta,
-        block["duration"],
-        block["rate"],
-        seed,
-        dark_noise=block["dark_noise"],
+        sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, gamma, theta, duration, rate, seed,
+        dark_noise=settings.dark_noise,
     )
-    shot = locksim.shot_noise_reference(block["duration"], block["rate"], seed + 2)
+    shot = locksim.shot_noise_reference(duration, rate, seed + 2)
     return {
         "photocurrents.csv": (["t", "q_s", "q_i"], [q_s.times, q_s.samples, q_i.samples]),
         "shot_reference.csv": (["t", "shot"], [shot.times, shot.samples]),
@@ -480,23 +446,19 @@ def _cmd_psd(cfg, sys_cfg, input_path):
 
 
 def _cmd_fit(cfg, sys_cfg, input_path):
+    settings = estimation.FitSettings(**cfg["fit_settings"])
     header, data = _read_table(input_path)
     if data.shape[1] < 4:
         raise ConfigError("fit input needs columns epsilon,var_minus,var_plus,uncert")
     dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
-    settings = cfg["fit_settings"]
-    result = estimation.fit_phase_noise_model(
-        dataset,
-        mode=settings["mode"],
-        n_bootstrap=settings["n_bootstrap"],
-        bootstrap_seed=cfg["run"]["rng_seed"],
-    )
+    result = estimation.fit_phase_noise_model(dataset, settings, cfg["run"]["rng_seed"])
     return {"fit.json": asdict(result)}
 
 
 def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
+    settings = locksim.LockSettings(**cfg["lock_sim"])
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
-    result = _run_lock(cfg, fields)
+    result = locksim.run_closed_loop(settings, fields)
     common = result.common_mode_theta
     s_pp, beta, psd = locksim.calibrated_theta_psd(common, abs(fields.a_cls))
     summary = {
@@ -513,20 +475,14 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
 
 
 def _cmd_reproduce_fig4(cfg, sys_cfg, input_path):
-    block = cfg["reproduce_fig4"]
-    f_lo, f_hi = block["band"]
-    dataset = locksim.fig4_dataset(
-        block["epsilons"], sys_cfg.detection, sys_cfg.cavity.gamma_total, block["sigma_theta"],
-        block["theta_cutoff"], block["duration"], block["rate"], f_lo, f_hi, cfg["run"]["rng_seed"],
+    settings = locksim.Fig4Settings(
+        **cfg["reproduce_fig4"], detection=sys_cfg.detection, gamma=sys_cfg.cavity.gamma_total
     )
-    result = estimation.fit_phase_noise_model(
-        dataset,
-        mode=cfg["fit_settings"]["mode"],
-        n_bootstrap=block["n_bootstrap"],
-        bootstrap_seed=cfg["run"]["rng_seed"],
-    )
+    fit = estimation.FitSettings(cfg["fit_settings"]["mode"], settings.n_bootstrap)
+    dataset = locksim.fig4_dataset(settings, cfg["run"]["rng_seed"])
+    result = estimation.fit_phase_noise_model(dataset, fit, cfg["run"]["rng_seed"])
     payload = asdict(result)
-    payload["injected_sigma_theta"] = block["sigma_theta"]
+    payload["injected_sigma_theta"] = settings.sigma_theta
     payload["injected_eta"] = sys_cfg.detection.eta
     return {
         "fig4_dataset.csv": (["epsilon", "var_minus", "var_plus", "uncert"], list(zip(*dataset.points))),
@@ -567,11 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file merged over defaults")
         p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
+            "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
             help="dot-path config override, value parsed as JSON",
         )
         p.add_argument("--out", default="out", help="output directory")

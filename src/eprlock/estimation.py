@@ -23,6 +23,9 @@ _SIGMA_MAX = 0.5
 # Samples per block of Welch segments transformed at once (2 MB of windowed data).
 _WELCH_BLOCK_SAMPLES = 2**18
 
+# Fewest data points ``fit_phase_noise_model`` takes.
+MIN_FIT_POINTS = 4
+
 
 @dataclass(frozen=True)
 class PsdEstimate:
@@ -100,13 +103,20 @@ def default_segment_length(n_samples: int) -> int:
     return max(8, min(n_samples // 8, 2**16))
 
 
+def welch_frequencies(n_samples: int, rate: float) -> np.ndarray:
+    """Bin frequencies of the ``welch_psd`` of an n-sample record at ``rate``;
+    a ValueError if the record is shorter than one segment."""
+    segment_length = default_segment_length(n_samples)
+    if segment_length > n_samples:
+        raise ValueError("series shorter than one segment")
+    return np.fft.rfftfreq(segment_length, d=1.0 / rate)
+
+
 def welch_psd(series: TimeSeries) -> PsdEstimate:
     """One-sided Welch PSD whose band integral recovers the series variance:
     periodic Hann segments of ``default_segment_length``, overlapped by half."""
-    n = series.samples.size
-    segment_length = default_segment_length(n)
-    if segment_length > n:
-        raise ValueError("series shorter than one segment")
+    freqs = welch_frequencies(series.samples.size, series.sample_rate)
+    segment_length = default_segment_length(series.samples.size)
     # Periodic Hann: the first n points of the symmetric (n + 1)-point window.
     win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
     segments = sliding_window_view(series.samples, segment_length)[:: segment_length - segment_length // 2]
@@ -124,7 +134,6 @@ def welch_psd(series: TimeSeries) -> PsdEstimate:
     # also carries the power of its negative frequency.
     dens /= series.sample_rate * np.sum(win * win)
     dens[1 : None if segment_length % 2 else -1] *= 2.0
-    freqs = np.fft.rfftfreq(segment_length, d=1.0 / series.sample_rate)
     return PsdEstimate(frequencies=freqs, densities=dens)
 
 
@@ -138,17 +147,24 @@ def band_power_scatter(n_samples: int, rate: float, f_lo: float, f_hi: float) ->
     return 1.0 / math.sqrt(n_avg * n_bins)
 
 
-def integrate_psd(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
-    """RMS value sqrt(integral of the density over [f_lo, f_hi])."""
-    f = psd.frequencies
-    if f_lo >= f_hi:
-        raise ValueError("empty band")
+def band_bins(frequencies: np.ndarray, f_lo: float, f_hi: float) -> np.ndarray:
+    """Mask of the ``frequencies`` in [f_lo, f_hi]; a ValueError unless the
+    band is ordered, lies within them and holds at least two."""
+    f = frequencies
+    if not f_lo < f_hi:
+        raise ValueError(f"band [{f_lo}, {f_hi}] is empty or reversed: its lower edge must lie below its upper")
     if f_lo < f[0] - 1e-12 or f_hi > f[-1] + 1e-12:
         raise ValueError(f"band [{f_lo}, {f_hi}] outside estimate range [{f[0]}, {f[-1]}]")
     mask = (f >= f_lo) & (f <= f_hi)
     if np.count_nonzero(mask) < 2:
-        raise ValueError("band contains fewer than two frequency bins")
-    return float(math.sqrt(np.trapezoid(psd.densities[mask], f[mask])))
+        raise ValueError(f"band [{f_lo}, {f_hi}] contains fewer than two frequency bins")
+    return mask
+
+
+def integrate_psd(psd: PsdEstimate, f_lo: float, f_hi: float) -> float:
+    """RMS value sqrt(integral of the density over [f_lo, f_hi]), a band ``band_bins`` takes."""
+    mask = band_bins(psd.frequencies, f_lo, f_hi)
+    return float(math.sqrt(np.trapezoid(psd.densities[mask], psd.frequencies[mask])))
 
 
 def apply_calibration(series: TimeSeries, beta: float) -> TimeSeries:
@@ -203,12 +219,21 @@ def _sigma_from_weight(w: float, mode: str) -> float:
     return math.sqrt(w if mode == "small-angle" else -0.5 * math.log1p(-2.0 * w))
 
 
-def fit_phase_noise_model(
-    data: SqueezingDataset,
-    mode: str = "small-angle",
-    n_bootstrap: int = 200,
-    bootstrap_seed: int = 0,
-) -> FitResult:
+@dataclass(frozen=True)
+class FitSettings:
+    """The phase-noise ``mode`` of ``fit_phase_noise_model`` (see
+    ``spectra.phase_noise_weight``) and its bootstrap resamples, 0 for none."""
+
+    mode: str
+    n_bootstrap: int
+
+    def __post_init__(self):
+        phase_noise_weight(0.0, self.mode)  # a ValueError for an unknown mode
+        if self.n_bootstrap < 0:
+            raise ValueError(f"n_bootstrap = {self.n_bootstrap} is negative (0 skips the bootstrap)")
+
+
+def fit_phase_noise_model(data: SqueezingDataset, settings: FitSettings, bootstrap_seed: int = 0) -> FitResult:
     """Joint weighted least-squares fit of (eta, sigma_Theta) to both branches.
 
     The model is affine in (a, b) = (eta, eta*w(sigma_Theta)), and the box
@@ -219,13 +244,11 @@ def fit_phase_noise_model(
     two is reported). A sigma_Theta pinned at 0 reports the one-sided bound
     sqrt(s_err) of s = sigma_Theta^2. A sigma_Theta at its 0.5 rad upper
     bound, or an eta_hat of 0, which leaves sigma_Theta free, is a
-    NumericalError. ``n_bootstrap`` 0 skips the bootstrap; a negative one is
-    a ValueError.
+    NumericalError.
     """
-    if n_bootstrap < 0:
-        raise ValueError(f"n_bootstrap = {n_bootstrap} is negative (0 skips the bootstrap)")
-    if len(data.points) < 4:
-        raise ValueError("need at least 4 data points")
+    if len(data.points) < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} data points")
+    mode = settings.mode
     w_max = phase_noise_weight(_SIGMA_MAX, mode)
     eps, vm, vp, unc = data.epsilons, data.var_minus, data.var_plus, data.uncertainties
     if not np.all(unc > 0):
@@ -271,11 +294,11 @@ def fit_phase_noise_model(
         msg = f"1-sigma errors {eta_err:.3g}, {sigma_err:.3g} against bound widths 1, {_SIGMA_MAX}"
         raise NumericalError(f"the data do not determine (eta, sigma_Theta): {msg}")
 
-    if n_bootstrap > 0:
+    if settings.n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
         n_pts = eps.size
         etas, sigmas = [], []
-        for _ in range(n_bootstrap):
+        for _ in range(settings.n_bootstrap):
             idx = rng.integers(0, n_pts, n_pts)
             if np.unique(eps[idx]).size < 3:
                 continue
@@ -288,12 +311,4 @@ def fit_phase_noise_model(
             eta_err = max(eta_err, float(np.std(etas)))
             sigma_err = max(sigma_err, float(np.std(sigmas)))
 
-    return FitResult(
-        eta_hat=eta_hat,
-        sigma_hat=sigma_hat,
-        eta_err=eta_err,
-        sigma_err=sigma_err,
-        residual_norm=residual_norm,
-        converged=True,
-        at_boundary=at_boundary,
-    )
+    return FitResult(eta_hat, sigma_hat, eta_err, sigma_err, residual_norm, converged=True, at_boundary=at_boundary)

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .estimation import PsdEstimate, SqueezingDataset, apply_calibration, band_power_scatter, integrate_psd, welch_psd
-from .model import DetectionParams, PhysicsDomainError, TimeSeries, fork_join, sample_budget, usable_cpus
+from .estimation import (
+    MIN_FIT_POINTS, PsdEstimate, SqueezingDataset, apply_calibration, band_bins, band_power_scatter, integrate_psd,
+    welch_frequencies, welch_psd,
+)
+from .model import (
+    DetectionParams, PhaseNoiseSpec, PhysicsDomainError, TimeSeries, fork_join, sample_budget, usable_cpus,
+)
 from .nopo import LockFieldState
 from .spectra import two_mode_variance
 
@@ -44,16 +49,13 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.random_walk_diffusion < 0 or self.white_noise_density < 0:
             raise ValueError("noise densities must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed = {self.rng_seed} is negative")
         for s in self.sinusoids:
-            if not (
-                isinstance(s, (list, tuple))
-                and len(s) == 3
-                and all(isinstance(x, (int, float)) and math.isfinite(x) for x in s)
-            ):
+            three = isinstance(s, (list, tuple)) and len(s) == 3
+            if not (three and all(isinstance(x, (int, float)) and math.isfinite(x) for x in s)):
                 raise ValueError(f"each sinusoid must be three finite numbers (Hz, rad, rad), got {s!r}")
-        object.__setattr__(
-            self, "sinusoids", tuple(tuple(float(x) for x in s) for s in self.sinusoids)
-        )
+        object.__setattr__(self, "sinusoids", tuple(tuple(float(x) for x in s) for s in self.sinusoids))
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,30 @@ class LoopConfig:
 
 
 @dataclass(frozen=True)
+class LockSettings:
+    """Both locks of a run: the arms' loops, the signal, idler and pump-phase
+    disturbances, and the duration (s) and rate (Hz) of the records. A loop or
+    disturbance given as its lock_sim config object is built from it."""
+
+    loop_s: LoopConfig
+    loop_i: LoopConfig
+    disturbance_s: DisturbanceSpec
+    disturbance_i: DisturbanceSpec
+    disturbance_pump: DisturbanceSpec
+    duration: float
+    rate: float
+
+    def __post_init__(self):
+        for name in ("loop_s", "loop_i", "disturbance_s", "disturbance_i", "disturbance_pump"):
+            part = getattr(self, name)
+            if isinstance(part, dict):
+                object.__setattr__(self, name, (LoopConfig if name.startswith("loop") else DisturbanceSpec)(**part))
+        if self.rate < 20.0 * max(self.loop_s.lpf_cutoff, self.loop_i.lpf_cutoff):
+            raise ValueError("rate must be at least 20x the demodulation cutoff")
+        _sample_count(self.duration, self.rate)
+
+
+@dataclass(frozen=True)
 class LockRunResult:
     """Residual phases of both loops plus lock-quality bookkeeping."""
 
@@ -93,8 +119,8 @@ class LockRunResult:
 
 def _sample_count(duration: float, rate: float) -> int:
     n = sample_budget(duration * rate, "duration*rate")
-    if n < 2:
-        raise ValueError("duration*rate must be at least 2 samples")
+    if n < 2 or not rate > 0:
+        raise ValueError("duration*rate must be at least 2 samples, at a positive rate")
     return n
 
 
@@ -134,24 +160,14 @@ def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
     )
 
 
-def run_closed_loop(
-    loop_s: LoopConfig,
-    loop_i: LoopConfig,
-    disturbances: tuple[DisturbanceSpec, DisturbanceSpec, DisturbanceSpec],
-    lock_fields: LockFieldState,
-    duration: float,
-    rate: float,
-) -> LockRunResult:
+def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> LockRunResult:
     """Simulate both phase locks sample by sample.
 
-    ``disturbances`` is (signal arm, idler arm, pump phase); pump-phase
-    fluctuations enter the idler loop because the idler lock field phase
-    tracks phi_p - phi_CLs. An unstable loop is reported through the
-    ``unstable`` flag rather than an exception.
+    Pump-phase fluctuations enter the idler loop because the idler lock
+    field phase tracks phi_p - phi_CLs. An unstable loop is reported through
+    the ``unstable`` flag rather than an exception.
     """
-    if rate < 20.0 * max(loop_s.lpf_cutoff, loop_i.lpf_cutoff):
-        raise ValueError("rate must be at least 20x the demodulation cutoff")
-    spec_s, spec_i, spec_pump = disturbances
+    duration, rate = settings.duration, settings.rate
     n = _sample_count(duration, rate)
     amp_s = abs(lock_fields.a_cls)
     amp_i = abs(lock_fields.a_cli)
@@ -162,21 +178,19 @@ def run_closed_loop(
     res_i = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
 
     def idler_arm():
-        d_i = synth_disturbance(spec_i, duration, rate).samples
-        d_i += synth_disturbance(spec_pump, duration, rate).samples
-        res, sat = _run_arm(loop_i, d_i, rate, amp_i)
+        d_i = synth_disturbance(settings.disturbance_i, duration, rate).samples
+        d_i += synth_disturbance(settings.disturbance_pump, duration, rate).samples
+        res, sat = _run_arm(settings.loop_i, d_i, rate, amp_i)
         res_i[:] = res
         return np.flatnonzero(sat)
 
     def signal_arm():
-        return _run_arm(loop_s, synth_disturbance(spec_s, duration, rate).samples, rate, amp_s)
+        return _run_arm(settings.loop_s, synth_disturbance(settings.disturbance_s, duration, rate).samples, rate, amp_s)
 
     sat_i, (res_s, sat_s) = fork_join(idler_arm, signal_arm)
 
     sat_times = np.sort(np.concatenate([np.flatnonzero(sat_s), sat_i])) / rate
-    in_lock = float(
-        np.mean((np.abs(res_s) < IN_LOCK_THRESHOLD) & (np.abs(res_i) < IN_LOCK_THRESHOLD))
-    )
+    in_lock = float(np.mean((np.abs(res_s) < IN_LOCK_THRESHOLD) & (np.abs(res_i) < IN_LOCK_THRESHOLD)))
 
     # Diverging residual variance marks an unstable loop: compare the last
     # quarter of the record against the second quarter (first quarter is
@@ -188,13 +202,7 @@ def run_closed_loop(
             late = float(np.std(r[3 * n // 4 :]))
             if late > 10.0 * max(early, 1e-12) and late > 1.0:
                 unstable = True
-    return LockRunResult(
-        residual_theta_s=TimeSeries(rate, res_s),
-        residual_theta_i=TimeSeries(rate, res_i),
-        saturation_events=sat_times,
-        in_lock_fraction=in_lock,
-        unstable=unstable,
-    )
+    return LockRunResult(TimeSeries(rate, res_s), TimeSeries(rate, res_i), sat_times, in_lock, unstable)
 
 
 def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
@@ -204,9 +212,7 @@ def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
     it must cover at least one full fringe.
     """
     if phase_span is not None and phase_span < 2.0 * math.pi:
-        raise PhysicsDomainError(
-            f"scan covers {phase_span:.3f} rad < 2*pi: incomplete fringe"
-        )
+        raise PhysicsDomainError(f"scan covers {phase_span:.3f} rad < 2*pi: incomplete fringe")
     s_pp = float(np.max(scan.samples) - np.min(scan.samples))
     if s_pp <= 0:
         raise PhysicsDomainError("flat scan: cannot calibrate")
@@ -258,18 +264,50 @@ class RecordBuffers:
         return buffers
 
 
+def _theta_alpha(cutoff: float, rate: float) -> float:
+    """Coefficient of the theta process's one-pole low-pass at ``cutoff`` Hz."""
+    if not cutoff > 0:
+        raise ValueError(f"theta cutoff must be positive, got {cutoff}")
+    return 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
+
+
+@dataclass(frozen=True)
+class RecordSettings:
+    """Duration (s) and rate (Hz) of synthesized records, and the RMS (rad)
+    and low-pass cutoff (Hz) of the theta process they carry."""
+
+    duration: float
+    rate: float
+    sigma_theta: float
+    theta_cutoff: float
+
+    def __post_init__(self):
+        _sample_count(self.duration, self.rate)
+        PhaseNoiseSpec(self.sigma_theta)
+        _theta_alpha(self.theta_cutoff, self.rate)
+
+    @property
+    def samples(self) -> int:
+        return _sample_count(self.duration, self.rate)
+
+
+@dataclass(frozen=True)
+class SynthSettings(RecordSettings):
+    """synth-epr's records, and whether they carry homodyne dark noise."""
+
+    dark_noise: bool
+
+
 def synth_theta_process(
     sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int, *, buffers: RecordBuffers | None = None
 ) -> TimeSeries:
     """Stationary low-pass Gaussian phase process with exact RMS ``sigma``,
     drawn into ``buffers.theta``."""
-    if not cutoff > 0:
-        raise ValueError(f"theta cutoff must be positive, got {cutoff}")
     n = _sample_count(duration, rate)
+    alpha = _theta_alpha(cutoff, rate)
     buffers = RecordBuffers.for_records(buffers, n)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n, out=buffers.theta[:n])
-    alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff / rate)
     x = kernels.one_pole_lowpass(white, alpha, out=buffers.theta)
     # np.std(x), operation for operation, with its squared deviations in a buffer.
     dev = np.subtract(x, x.sum() / n, out=buffers.mix)
@@ -282,17 +320,8 @@ def synth_theta_process(
 
 
 def synth_epr_photocurrents(
-    epsilon: float,
-    eta_s: float,
-    eta_i: float,
-    gamma: float,
-    theta: TimeSeries | None,
-    duration: float,
-    rate: float,
-    rng_seed: int,
-    dark_noise: bool = False,
-    *,
-    buffers: RecordBuffers | None = None,
+    epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, duration: float, rate: float,
+    rng_seed: int, dark_noise: bool = False, *, buffers: RecordBuffers | None = None,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Correlated homodyne photocurrent records with EPR statistics.
 
@@ -386,11 +415,6 @@ def shot_noise_reference(
 
 def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
     """RMS of ``series`` in [f_lo, f_hi] from its Welch PSD."""
-    if f_hi <= f_lo:
-        raise ValueError(f"band [{f_lo}, {f_hi}] is empty or reversed: its lower edge must lie below its upper")
-    nyquist = series.sample_rate / 2.0
-    if not 0.0 <= f_lo < f_hi <= nyquist:
-        raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={nyquist}]")
     return integrate_psd(welch_psd(series), f_lo, f_hi)
 
 
@@ -415,32 +439,49 @@ def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, P
     return s_pp, beta, welch_psd(apply_calibration(raw, beta))
 
 
+@dataclass(frozen=True)
+class Fig4Settings(RecordSettings):
+    """fig4's records, pump ``epsilons``, ``band`` [f_lo, f_hi] (Hz) of two or
+    more Welch bins, the source's ``detection`` and total decay rate ``gamma``
+    (Hz), and its fit's ``n_bootstrap``, which the points do not read."""
+
+    epsilons: tuple
+    band: tuple
+    n_bootstrap: int
+    detection: DetectionParams
+    gamma: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "epsilons", tuple(self.epsilons))
+        object.__setattr__(self, "band", tuple(self.band))
+        if len(self.epsilons) < MIN_FIT_POINTS:
+            raise ValueError(f"epsilons holds {len(self.epsilons)} pump points; the fit needs {MIN_FIT_POINTS}")
+        f_lo, f_hi = self.band
+        band_bins(welch_frequencies(self.samples, self.rate), f_lo, f_hi)
+        if not (0.0 <= f_lo and f_hi <= self.rate / 2.0):
+            raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={self.rate / 2.0}]")
+
+
 def fig4_point(
-    epsilon: float, detection: DetectionParams, gamma: float, sigma_theta: float, theta_cutoff: float,
-    duration: float, rate: float, f_lo: float, f_hi: float, rng_seed: int, *, buffers: RecordBuffers | None = None,
+    epsilon: float, settings: Fig4Settings, rng_seed: int, *, buffers: RecordBuffers | None = None
 ) -> tuple[float, float, float, float]:
     """One pump point of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
 
-    Photocurrents at pump ``epsilon`` and total decay rate ``gamma`` carry a
-    low-pass theta record of RMS ``sigma_theta``; their joint quadratures'
-    band variances over [f_lo, f_hi] are normalized to a shot-noise record.
+    Photocurrents at pump ``epsilon`` carry a low-pass theta record; their
+    joint quadratures' band variances are normalized to a shot-noise record.
     Every record it draws goes into ``buffers`` (a fresh set when none is
     given), which it leaves free for the next point, and its seeds derive
     from ``rng_seed`` alone, so points can run in any order or at once,
     each thread with its own set.
     """
-    buffers = RecordBuffers.for_records(buffers, _sample_count(duration, rate))
+    duration, rate, (f_lo, f_hi), detection = settings.duration, settings.rate, settings.band, settings.detection
+    buffers = RecordBuffers.for_records(buffers, settings.samples)
     g = detection.idler_weight
+    sigma, cutoff = settings.sigma_theta, settings.theta_cutoff
+    theta = synth_theta_process(sigma, cutoff, duration, rate, rng_seed + 1, buffers=buffers)
     q_s, q_i = synth_epr_photocurrents(
-        epsilon,
-        detection.eta_s,
-        detection.eta_i,
-        gamma,
-        synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1, buffers=buffers),
-        duration,
-        rate,
-        rng_seed,
-        buffers=buffers,
+        epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, duration, rate, rng_seed, buffers=buffers
     )
     shot_power = band_power(shot_noise_reference(duration, rate, rng_seed + 2, buffers=buffers), f_lo, f_hi)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
@@ -459,10 +500,7 @@ def fig4_point(
     return epsilon, vm, vp, band_power_scatter(q_s.size, rate, f_lo, f_hi)
 
 
-def fig4_dataset(
-    epsilons: list[float], detection: DetectionParams, gamma: float, sigma_theta: float, theta_cutoff: float,
-    duration: float, rate: float, f_lo: float, f_hi: float, seed: int,
-) -> SqueezingDataset:
+def fig4_dataset(settings: Fig4Settings, seed: int) -> SqueezingDataset:
     """fig4's points, ``fig4_point`` k at rng_seed seed + 1000 (k + 1), computed
     on up to one thread per usable CPU.
 
@@ -474,20 +512,19 @@ def fig4_dataset(
     """
     from concurrent.futures import ThreadPoolExecutor  # here: its import would cost every command
 
-    settings = (detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi)
     local = threading.local()
 
     def point(epsilon, rng_seed):
         if not hasattr(local, "buffers"):
-            local.buffers = RecordBuffers.empty(_sample_count(duration, rate))
-        return fig4_point(epsilon, *settings, rng_seed, buffers=local.buffers)
+            local.buffers = RecordBuffers.empty(settings.samples)
+        return fig4_point(epsilon, settings, rng_seed, buffers=local.buffers)
 
-    pool = ThreadPoolExecutor(max_workers=max(1, min(len(epsilons), usable_cpus())))
+    pool = ThreadPoolExecutor(max_workers=max(1, min(len(settings.epsilons), usable_cpus())))
     try:
         # A worker thread starts from a fresh context; the caller's may hold an np.errstate.
         futures = [
             pool.submit(contextvars.copy_context().run, point, eps, seed + 1000 * (k + 1))
-            for k, eps in enumerate(epsilons)
+            for k, eps in enumerate(settings.epsilons)
         ]
         points = [future.result() for future in futures]
     finally:

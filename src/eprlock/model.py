@@ -306,6 +306,7 @@ class SystemConfig:
     phase_noise: PhaseNoiseSpec
 
 
+# In SystemConfig's field order.
 _BLOCK_TYPES = {
     "frequency_plan": FrequencyPlan,
     "cavity": CavityParams,
@@ -333,11 +334,4 @@ def config_from_dict(raw: dict) -> SystemConfig:
             raise ConfigError(f"bad fields in block '{key}': {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"invalid values in block '{key}': {exc}") from exc
-    return SystemConfig(
-        plan=blocks["frequency_plan"],
-        cavity=blocks["cavity"],
-        pump=blocks["pump"],
-        seed=blocks["seed"],
-        detection=blocks["detection"],
-        phase_noise=blocks["phase_noise"],
-    )
+    return SystemConfig(*blocks.values())

@@ -180,7 +180,7 @@ def test_criterion_09_lock_loop_regulation():
     sys_cfg = cli._system_config(cfg)
     start = time.perf_counter()
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
-    result = cli._run_lock(cfg, fields)
+    result = locksim.run_closed_loop(locksim.LockSettings(**cfg["lock_sim"]), fields)
     sigma = float(np.std(result.common_mode_theta.samples))
 
     ramp_cfg = cli.load_config(
@@ -192,7 +192,7 @@ def test_criterion_09_lock_loop_regulation():
             "lock_sim.disturbance_s.ramp_rate=15.0",
         ],
     )
-    ramp_result = cli._run_lock(ramp_cfg, fields)
+    ramp_result = locksim.run_closed_loop(locksim.LockSettings(**ramp_cfg["lock_sim"]), fields)
     elapsed = time.perf_counter() - start
     ok = (
         sigma <= 0.012

@@ -3,6 +3,7 @@ manifest bookkeeping, exit codes and reproducibility."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprlock import cli, kernels, locksim, model
+from eprlock import cli, estimation, kernels, locksim, model
 from eprlock.model import ConfigError
 
 
@@ -236,52 +237,68 @@ class TestExitCodes:
         assert "energy conservation" in capsys.readouterr().err
 
 
+_EXIT_2_CASES = [
+    ["integrate", "--set", "integrate.dt_over_gamma=1"],
+    ["lock-sim", "--set", "lock_sim.rate=1000"],
+    ["synth-epr", "--set", "synth_epr.duration=0"],
+    ["psd", "--input", "{one_row}"],
+    ["psd", "--input", "{two_rows}"],
+    ["spectra", "--set", "spectra_scan.points=0"],
+    ["sweep", "--set", "sweep_scan.points=0"],
+    ["reproduce", "fig5", "--set", "reproduce_fig5.points=-3"],
+    ["spectra", "--set", "spectra_scan.points=2.5"],
+    ["synth-epr", "--set", "synth_epr.duraton=1.0"],
+    ["lock-sim", "--set", "lock_sim.loop_s.theta_ref=0.0"],
+    ["steady-state", "--set", "detection.g_weight=1.0"],
+    ["integrate", "--set", "integrate=null"],
+    ["lock-sim", "--set", 'lock_sim.duration="x"'],
+    ["steady-state", "--set", 'run.rng_seed="a"'],
+    ["spectra", "--set", "pump.epsilon=true"],
+    ["spectra", "--set", "spectra_scan.omega_norm_max=NaN"],
+    ["sweep", "--set", "sweep_scan.epsilon_max=Infinity"],
+    ["fit", "--input", "{dataset}", "--set", "fit_settings.mode=bogus"],
+    ["fit", "--input", "{three_rows}"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.band=[0,2e6]"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.band=[15000, 5000]"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.n_bootstrap=-1"],
+    ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=-1"],
+    ["psd", "--input", "{constant_t}"],
+    ["calibrate", "--input", "{constant_t}"],
+    ["psd", "--input", "{nan_value}"],
+    ["calibrate", "--input", "{nan_value}"],
+    ["integrate", "--set", "integrate.dt_over_gamma=0"],
+    ["lock-sim", "--set", "lock_sim.disturbance_pump.sinusoids=[5]"],
+    ["steady-state", "--set", "phase_noise.sigma_s=0.01"],
+    ["calibrate", "--input", "{t_only}"],
+    ["calibrate", "--input", "{no_t}"],
+    ["calibrate", "--input", "{narrow}"],
+    ["steady-state", "--out", "{one_row}"],
+    ["steady-state", "--out", "{one_row}/run"],
+    ["synth-epr", "--set", "synth_epr.sigma_theta=-0.01"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.sigma_theta=-0.01"],
+    ["reproduce", "fig4", "--set", 'fit_settings.mode="bogus"'],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.epsilons=[0.1,0.2,0.3]"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.band=[5000,5001]"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.theta_cutoff=-1"],
+    ["synth-epr", "--set", "synth_epr.theta_cutoff=0"],
+    ["lock-sim", "--set", "lock_sim.disturbance_i.rng_seed=-1"],
+]
+
+# The entry points of every simulated command: a config they are given has passed its checks.
+_SIMULATION = [
+    (locksim, "fig4_dataset"),
+    (locksim, "run_closed_loop"),
+    (locksim, "synth_epr_photocurrents"),
+    (locksim, "synth_theta_process"),
+    (estimation, "fit_phase_noise_model"),
+]
+
+
 class TestRejectedSettings:
     """Config values outside the defaults' shape, and inputs a library call
     rejects, end as a config error, not a traceback."""
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["integrate", "--set", "integrate.dt_over_gamma=1"],
-            ["lock-sim", "--set", "lock_sim.rate=1000"],
-            ["synth-epr", "--set", "synth_epr.duration=0"],
-            ["psd", "--input", "{one_row}"],
-            ["psd", "--input", "{two_rows}"],
-            ["spectra", "--set", "spectra_scan.points=0"],
-            ["sweep", "--set", "sweep_scan.points=0"],
-            ["reproduce", "fig5", "--set", "reproduce_fig5.points=-3"],
-            ["spectra", "--set", "spectra_scan.points=2.5"],
-            ["synth-epr", "--set", "synth_epr.duraton=1.0"],
-            ["lock-sim", "--set", "lock_sim.loop_s.theta_ref=0.0"],
-            ["steady-state", "--set", "detection.g_weight=1.0"],
-            ["integrate", "--set", "integrate=null"],
-            ["lock-sim", "--set", 'lock_sim.duration="x"'],
-            ["steady-state", "--set", 'run.rng_seed="a"'],
-            ["spectra", "--set", "pump.epsilon=true"],
-            ["spectra", "--set", "spectra_scan.omega_norm_max=NaN"],
-            ["sweep", "--set", "sweep_scan.epsilon_max=Infinity"],
-            ["fit", "--input", "{dataset}", "--set", "fit_settings.mode=bogus"],
-            ["fit", "--input", "{three_rows}"],
-            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.band=[0,2e6]"],
-            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.band=[15000, 5000]"],
-            ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.n_bootstrap=-1"],
-            ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=-1"],
-            ["psd", "--input", "{constant_t}"],
-            ["calibrate", "--input", "{constant_t}"],
-            ["psd", "--input", "{nan_value}"],
-            ["calibrate", "--input", "{nan_value}"],
-            ["integrate", "--set", "integrate.dt_over_gamma=0"],
-            ["lock-sim", "--set", "lock_sim.disturbance_pump.sinusoids=[5]"],
-            ["steady-state", "--set", "phase_noise.sigma_s=0.01"],
-            ["calibrate", "--input", "{t_only}"],
-            ["calibrate", "--input", "{no_t}"],
-            ["calibrate", "--input", "{narrow}"],
-            ["steady-state", "--out", "{one_row}"],
-            ["steady-state", "--out", "{one_row}/run"],
-        ],
-        ids=lambda args: " ".join(args),
-    )
+    @pytest.mark.parametrize("args", _EXIT_2_CASES, ids=lambda args: " ".join(args))
     def test_exit_2_with_one_json_line(self, tmp_path, capsys, args):
         dataset = "epsilon,var_minus,var_plus,uncert\n0.1,0.8,1.3,0.01\n0.3,0.5,2.5,0.01\n0.5,0.4,5.0,0.01\n"
         tables = {
@@ -309,6 +326,19 @@ class TestRejectedSettings:
         assert err["error"] == "config"
         assert named is None or named in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args", [args for args in _EXIT_2_CASES if "--set" in args], ids=lambda args: " ".join(args)
+    )
+    def test_no_refused_config_reaches_the_simulation(self, tmp_path, capsys, monkeypatch, args):
+        """Each command checks its blocks before it draws a record or fits."""
+
+        def reached(*_args, **_kwargs):
+            pytest.fail("a refused config reached the simulation")
+
+        for module, name in _SIMULATION:
+            monkeypatch.setattr(module, name, reached)
+        self.test_exit_2_with_one_json_line(tmp_path, capsys, args)
 
 
 class TestSteadyStateCommand:
@@ -495,9 +525,12 @@ class TestFig4Points:
         """The thread pool returns what a serial loop over the points returns,
         each worker thread reusing its one set of record buffers."""
         epsilons = cli.DEFAULT_CONFIG["reproduce_fig4"]["epsilons"]
-        records = (model.DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, 0.2, 2e5, 5e3, 1.5e4)
-        serial = [locksim.fig4_point(eps, *records, seed + 1000 * (k + 1)) for k, eps in enumerate(epsilons)]
-        assert locksim.fig4_dataset(epsilons, *records, seed).points == tuple(serial)
+        settings = locksim.Fig4Settings(
+            duration=0.2, rate=2e5, sigma_theta=0.01, theta_cutoff=200.0, epsilons=epsilons, band=(5e3, 1.5e4),
+            n_bootstrap=0, detection=model.DetectionParams(0.95, 0.75), gamma=15e6,
+        )
+        serial = [locksim.fig4_point(eps, settings, seed + 1000 * (k + 1)) for k, eps in enumerate(epsilons)]
+        assert locksim.fig4_dataset(settings, seed).points == tuple(serial)
 
 
 class TestSynthEprCommand:
@@ -834,6 +867,42 @@ _INPUT_COLUMNS = {
     "fit": ["epsilon", "var_minus", "var_plus", "uncert"],
 }
 _CELLS = ["0", "0.01", "0.3", "0.9", "1", "-1", "20", "5e-324", "1e-300", "1e300", "-1e308", "1e308"]
+# The commands that read each simulated block.
+_BLOCK_COMMANDS = {
+    "reproduce_fig4": [["reproduce", "fig4"]],
+    "fit_settings": [["fit", "--input", "{dataset}"]],
+    "lock_sim": [["lock-sim"], ["reproduce", "fig3"]],
+    "synth_epr": [["synth-epr"]],
+}
+
+
+class _Reached(Exception):
+    """Raised in place of a simulation entry point, with its name and arguments."""
+
+
+def _reach(name):
+    def stub(*args, **kwargs):
+        raise _Reached(name, args, kwargs)
+
+    return stub
+
+
+def _given(name, args, kwargs) -> dict:
+    """The config values an entry point was given, by the key of their block."""
+    if name == "synth_theta_process":
+        return dict(zip(["sigma_theta", "theta_cutoff", "duration", "rate"], args))
+    if name == "synth_epr_photocurrents":
+        return {"duration": args[5], "rate": args[6], "dark_noise": kwargs["dark_noise"]}
+    return dataclasses.asdict(args[1] if name == "fit_phase_noise_model" else args[0])
+
+
+def _as_json(value):
+    """``value`` with its tuples as lists, as JSON holds them."""
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_as_json(v) for v in value]
+    return value
 
 
 class TestConfigContract:
@@ -870,10 +939,35 @@ class TestConfigContract:
             args = [command, "--input", str(table), "--set", "fit_settings.n_bootstrap=10"]
             _assert_exit_contract(args, Path(tmp))
 
+    @settings(deadline=None, max_examples=100)
+    @given(block=st.sampled_from(sorted(_BLOCK_COMMANDS)), data=st.data())
+    def test_a_simulated_block_is_checked_before_the_simulation(self, block, data):
+        """The same contract for the slow commands, with their simulation and
+        fit stubbed out: one override of a block they read either exits 2 or
+        3 before the stub, or reaches it with the config's values."""
+        leaf = data.draw(st.sampled_from(sorted(_leaves(cli.DEFAULT_CONFIG[block], block))))
+        override = f"{leaf}={data.draw(st.sampled_from(_VALUES))}"
+        command = data.draw(st.sampled_from(_BLOCK_COMMANDS[block]))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            table = Path(tmp) / "dataset.csv"
+            rows = "".join(f"0.{k},0.5,2.5,0.01\n" for k in (1, 3, 5, 7))
+            table.write_text("epsilon,var_minus,var_plus,uncert\n" + rows)
+            for module, name in _SIMULATION:
+                patch.setattr(module, name, _reach(name))
+            args = [a.format(dataset=table) for a in command] + ["--set", override]
+            try:
+                assert _assert_exit_contract(args, Path(tmp)) in (2, 3)
+            except _Reached as reached:
+                given_values = _given(*reached.args)
+                expected = cli.load_config(None, [override])[block]
+                keys = given_values.keys() & expected.keys()
+                assert keys
+                assert {k: _as_json(given_values[k]) for k in keys} == {k: expected[k] for k in keys}
+
 
 def _assert_exit_contract(args, tmp):
     """Exit 0/2/3/4 without raising or warning; an error is one JSON line and
-    no output directory; a success writes no NaN or infinite value."""
+    no output directory; a success writes no NaN or infinite value. Returns the exit code."""
     out = tmp / "run"
     with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -887,3 +981,4 @@ def _assert_exit_contract(args, tmp):
     else:
         for artifact in out.iterdir():
             assert not _NON_FINITE.search(artifact.read_text()), artifact.name
+    return code

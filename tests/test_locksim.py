@@ -63,8 +63,12 @@ class TestSynthDisturbance:
     def test_validation(self):
         with pytest.raises(ValueError):
             locksim.DisturbanceSpec(random_walk_diffusion=-1.0)
+        with pytest.raises(ValueError, match="rng_seed"):
+            locksim.DisturbanceSpec(rng_seed=-1)
         with pytest.raises(ValueError):
             locksim.synth_disturbance(locksim.DisturbanceSpec(), 1e-9, 10.0)
+        with pytest.raises(ValueError, match="positive rate"):
+            locksim.synth_disturbance(locksim.DisturbanceSpec(), -1.0, -10.0)
 
     @pytest.mark.parametrize("sinusoids", [(5.0,), ((50.0, 0.1),), ((50.0, math.nan, 0.0),), (("a", 1.0, 0.0),)])
     def test_sinusoid_must_be_three_finite_numbers(self, sinusoids):
@@ -97,7 +101,7 @@ class TestRunClosedLoop:
     def test_zero_disturbance_stays_locked(self):
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(), (quiet, quiet, quiet), FIELDS, 0.2, 2e5
+            locksim.LockSettings(_quiet_loop(), _quiet_loop(), quiet, quiet, quiet, 0.2, 2e5), FIELDS
         )
         assert np.max(np.abs(result.common_mode_theta.samples)) < 1e-12
         assert result.in_lock_fraction == 1.0
@@ -108,7 +112,7 @@ class TestRunClosedLoop:
         drift = locksim.DisturbanceSpec(random_walk_diffusion=1.0, rng_seed=11)
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(), (drift, quiet, quiet), FIELDS, 1.0, 2e5
+            locksim.LockSettings(_quiet_loop(), _quiet_loop(), drift, quiet, quiet, 1.0, 2e5), FIELDS
         )
         open_loop = locksim.synth_disturbance(drift, 1.0, 2e5)
         assert np.std(result.residual_theta_s.samples) < 0.05 * np.std(open_loop.samples)
@@ -118,7 +122,7 @@ class TestRunClosedLoop:
         quiet = locksim.DisturbanceSpec()
         pump = locksim.DisturbanceSpec(random_walk_diffusion=1.0, rng_seed=21)
         result = locksim.run_closed_loop(
-            _quiet_loop(), _quiet_loop(), (quiet, quiet, pump), FIELDS, 0.5, 2e5
+            locksim.LockSettings(_quiet_loop(), _quiet_loop(), quiet, quiet, pump, 0.5, 2e5), FIELDS
         )
         assert np.max(np.abs(result.residual_theta_s.samples)) < 1e-12
         assert np.std(result.residual_theta_i.samples) > 0
@@ -127,8 +131,8 @@ class TestRunClosedLoop:
         ramp = locksim.DisturbanceSpec(ramp_rate=15.0)
         quiet = locksim.DisturbanceSpec()
         result = locksim.run_closed_loop(
-            _quiet_loop(actuator_range=20.0), _quiet_loop(),
-            (ramp, quiet, quiet), FIELDS, 2.0, 2e5,
+            locksim.LockSettings(_quiet_loop(actuator_range=20.0), _quiet_loop(), ramp, quiet, quiet, 2.0, 2e5),
+            FIELDS,
         )
         assert result.saturation_events.size >= 1
         assert result.in_lock_fraction < 1.0
@@ -137,7 +141,7 @@ class TestRunClosedLoop:
         quiet = locksim.DisturbanceSpec()
         with pytest.raises(ValueError, match="rate"):
             locksim.run_closed_loop(
-                _quiet_loop(), _quiet_loop(), (quiet, quiet, quiet), FIELDS, 0.1, 1e5
+                locksim.LockSettings(_quiet_loop(), _quiet_loop(), quiet, quiet, quiet, 0.1, 1e5), FIELDS
             )
 
 
@@ -537,6 +541,14 @@ def _reference_fig4_point(epsilon, detection, gamma, sigma_theta, theta_cutoff, 
     return epsilon, vm, vp, estimation.band_power_scatter(q_s.size, rate, f_lo, f_hi)
 
 
+def _fig4_settings(detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi):
+    """Fig4Settings for pump points, in _reference_fig4_point's argument order."""
+    return locksim.Fig4Settings(
+        duration=duration, rate=rate, sigma_theta=sigma_theta, theta_cutoff=theta_cutoff,
+        epsilons=(0.1, 0.2, 0.3, 0.4), band=(f_lo, f_hi), n_bootstrap=0, detection=detection, gamma=gamma,
+    )
+
+
 def _stale_buffers(n):
     """A set of record buffers full of NaN, as if a failed draw had left them."""
     buffers = locksim.RecordBuffers.empty(n)
@@ -609,11 +621,12 @@ class TestRecordBuffers:
         ]
         for epsilon, detection, sigma, seed in points:
             args = (epsilon, detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band, seed)
-            got = locksim.fig4_point(*args, buffers=buffers)
+            settings = _fig4_settings(detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band)
+            got = locksim.fig4_point(epsilon, settings, seed, buffers=buffers)
             ref = _reference_fig4_point(*args)
             assert got == ref
             assert np.array(got).tobytes() == np.array(ref).tobytes()
-            assert locksim.fig4_point(*args) == ref
+            assert locksim.fig4_point(epsilon, settings, seed) == ref
 
     def test_wrong_length_set_is_refused(self):
         with pytest.raises(ValueError, match="record buffers hold 100 samples"):
@@ -625,11 +638,11 @@ class TestRecordBuffers:
         duration, rate = 5.0, 2e5
         n = locksim._sample_count(duration, rate)
         buffers = locksim.RecordBuffers.empty(n)
-        settings = (DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, duration, rate, 5e3, 1.5e4)
-        locksim.fig4_point(0.3, *settings, 1000, buffers=buffers)
+        settings = _fig4_settings(DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, duration, rate, 5e3, 1.5e4)
+        locksim.fig4_point(0.3, settings, 1000, buffers=buffers)
         tracemalloc.start()
         try:
-            locksim.fig4_point(0.6, *settings, 2000, buffers=buffers)
+            locksim.fig4_point(0.6, settings, 2000, buffers=buffers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
