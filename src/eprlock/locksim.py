@@ -99,6 +99,10 @@ class LockSettings:
             raise ValueError("rate must be at least 20x the demodulation cutoff")
         _sample_count(self.duration, self.rate)
 
+    @property
+    def samples(self) -> int:
+        return _sample_count(self.duration, self.rate)
+
 
 @dataclass(frozen=True)
 class LockRunResult:
@@ -106,7 +110,7 @@ class LockRunResult:
 
     residual_theta_s: TimeSeries
     residual_theta_i: TimeSeries
-    saturation_events: np.ndarray  # times (s)
+    saturation_count: int
     in_lock_fraction: float
     unstable: bool = False
 
@@ -167,8 +171,7 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
     field phase tracks phi_p - phi_CLs. An unstable loop is reported through
     the ``unstable`` flag rather than an exception.
     """
-    duration, rate = settings.duration, settings.rate
-    n = _sample_count(duration, rate)
+    duration, rate, n = settings.duration, settings.rate, settings.samples
     amp_s = abs(lock_fields.a_cls)
     amp_i = abs(lock_fields.a_cli)
     # The arms are independent, so the idler's runs in a forked worker
@@ -182,14 +185,13 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
         d_i += synth_disturbance(settings.disturbance_pump, duration, rate).samples
         res, sat = _run_arm(settings.loop_i, d_i, rate, amp_i)
         res_i[:] = res
-        return np.flatnonzero(sat)
+        return int(np.count_nonzero(sat))
 
     def signal_arm():
         return _run_arm(settings.loop_s, synth_disturbance(settings.disturbance_s, duration, rate).samples, rate, amp_s)
 
     sat_i, (res_s, sat_s) = fork_join(idler_arm, signal_arm)
 
-    sat_times = np.sort(np.concatenate([np.flatnonzero(sat_s), sat_i])) / rate
     in_lock = float(np.mean((np.abs(res_s) < IN_LOCK_THRESHOLD) & (np.abs(res_i) < IN_LOCK_THRESHOLD)))
 
     # Diverging residual variance marks an unstable loop: compare the last
@@ -202,7 +204,8 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
             late = float(np.std(r[3 * n // 4 :]))
             if late > 10.0 * max(early, 1e-12) and late > 1.0:
                 unstable = True
-    return LockRunResult(TimeSeries(rate, res_s), TimeSeries(rate, res_i), sat_times, in_lock, unstable)
+    saturation_count = int(np.count_nonzero(sat_s)) + sat_i
+    return LockRunResult(TimeSeries(rate, res_s), TimeSeries(rate, res_i), saturation_count, in_lock, unstable)
 
 
 def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
@@ -224,8 +227,8 @@ class RecordBuffers:
     """Scratch for the records of one pump point, reused from point to point.
 
     ``synth_theta_process``, ``synth_epr_photocurrents`` and
-    ``shot_noise_reference`` draw into a set when given one and into a fresh
-    set when not. A record drawn into a set lives until the next draw into
+    ``shot_noise_reference`` draw into a set, whose n fixes the length of
+    their records. A record drawn into a set lives until the next draw into
     the same buffer, so one set serves one thread. The buffers, and what
     uses each in turn:
 
@@ -249,19 +252,12 @@ class RecordBuffers:
 
     @classmethod
     def empty(cls, n: int) -> RecordBuffers:
-        """A set for n-sample records."""
+        """A set for n-sample records; past the sample budget, a ConfigError
+        before anything is allocated."""
+        n = sample_budget(n, "record samples")
         m = n // 2 + 1
         records = (np.empty(n) for _ in range(3))
         return cls(np.empty(n + kernels.LOWPASS_PAD), *records, spectrum=np.empty(2 * m), gain=np.empty(m))
-
-    @classmethod
-    def for_records(cls, buffers: RecordBuffers | None, n: int) -> RecordBuffers:
-        """``buffers`` if it holds n-sample records, a fresh set if it is None."""
-        if buffers is None:
-            return cls.empty(n)
-        if buffers.minus.size != n:
-            raise ValueError(f"record buffers hold {buffers.minus.size} samples, the record {n}")
-        return buffers
 
 
 def _theta_alpha(cutoff: float, rate: float) -> float:
@@ -299,13 +295,12 @@ class SynthSettings(RecordSettings):
 
 
 def synth_theta_process(
-    sigma: float, cutoff: float, duration: float, rate: float, rng_seed: int, *, buffers: RecordBuffers | None = None
+    sigma: float, cutoff: float, rate: float, rng_seed: int, *, buffers: RecordBuffers
 ) -> TimeSeries:
     """Stationary low-pass Gaussian phase process with exact RMS ``sigma``,
     drawn into ``buffers.theta``."""
-    n = _sample_count(duration, rate)
+    n = buffers.minus.size
     alpha = _theta_alpha(cutoff, rate)
-    buffers = RecordBuffers.for_records(buffers, n)
     rng = np.random.default_rng(rng_seed)
     white = rng.standard_normal(n, out=buffers.theta[:n])
     x = kernels.one_pole_lowpass(white, alpha, out=buffers.theta)
@@ -320,8 +315,8 @@ def synth_theta_process(
 
 
 def synth_epr_photocurrents(
-    epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, duration: float, rate: float,
-    rng_seed: int, dark_noise: bool = False, *, buffers: RecordBuffers | None = None,
+    epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, rate: float, rng_seed: int,
+    dark_noise: bool = False, *, buffers: RecordBuffers,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Correlated homodyne photocurrent records with EPR statistics.
 
@@ -337,10 +332,9 @@ def synth_epr_photocurrents(
     """
     if not 0.0 <= epsilon < 1.0:
         raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
-    n = _sample_count(duration, rate)
+    n = buffers.minus.size
     if theta is not None and (theta.sample_rate != rate or theta.samples.size != n):
         raise ValueError(f"theta record must hold {n} samples at {rate} Hz, like the photocurrents")
-    buffers = RecordBuffers.for_records(buffers, n)
     rng = np.random.default_rng(rng_seed)
     # rfft of unit white noise: E|X_k|^2 = n, half real and half imaginary but at DC and (n even) Nyquist.
     m = n // 2 + 1
@@ -402,15 +396,11 @@ def synth_epr_photocurrents(
     return TimeSeries(sample_rate=rate, samples=q_s), TimeSeries(sample_rate=rate, samples=q_i)
 
 
-def shot_noise_reference(
-    duration: float, rate: float, rng_seed: int, *, buffers: RecordBuffers | None = None
-) -> TimeSeries:
+def shot_noise_reference(rate: float, rng_seed: int, *, buffers: RecordBuffers) -> TimeSeries:
     """Unit-variance white record used as the shot-noise normalization, drawn
     into ``buffers.plus``."""
-    n = _sample_count(duration, rate)
-    out = RecordBuffers.for_records(buffers, n).plus
     rng = np.random.default_rng(rng_seed)
-    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(n, out=out))
+    return TimeSeries(sample_rate=rate, samples=rng.standard_normal(buffers.plus.size, out=buffers.plus))
 
 
 def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
@@ -464,26 +454,24 @@ class Fig4Settings(RecordSettings):
 
 
 def fig4_point(
-    epsilon: float, settings: Fig4Settings, rng_seed: int, *, buffers: RecordBuffers | None = None
+    epsilon: float, settings: Fig4Settings, rng_seed: int, *, buffers: RecordBuffers
 ) -> tuple[float, float, float, float]:
     """One pump point of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
 
     Photocurrents at pump ``epsilon`` carry a low-pass theta record; their
     joint quadratures' band variances are normalized to a shot-noise record.
-    Every record it draws goes into ``buffers`` (a fresh set when none is
-    given), which it leaves free for the next point, and its seeds derive
-    from ``rng_seed`` alone, so points can run in any order or at once,
-    each thread with its own set.
+    Every record it draws goes into ``buffers``, a set for
+    ``settings.samples``-sample records, which it leaves free for the next
+    point, and its seeds derive from ``rng_seed`` alone, so points can run
+    in any order or at once, each thread with its own set.
     """
-    duration, rate, (f_lo, f_hi), detection = settings.duration, settings.rate, settings.band, settings.detection
-    buffers = RecordBuffers.for_records(buffers, settings.samples)
+    rate, (f_lo, f_hi), detection = settings.rate, settings.band, settings.detection
     g = detection.idler_weight
-    sigma, cutoff = settings.sigma_theta, settings.theta_cutoff
-    theta = synth_theta_process(sigma, cutoff, duration, rate, rng_seed + 1, buffers=buffers)
+    theta = synth_theta_process(settings.sigma_theta, settings.theta_cutoff, rate, rng_seed + 1, buffers=buffers)
     q_s, q_i = synth_epr_photocurrents(
-        epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, duration, rate, rng_seed, buffers=buffers
+        epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, rate, rng_seed, buffers=buffers
     )
-    shot_power = band_power(shot_noise_reference(duration, rate, rng_seed + 2, buffers=buffers), f_lo, f_hi)
+    shot_power = band_power(shot_noise_reference(rate, rng_seed + 2, buffers=buffers), f_lo, f_hi)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
     # detection.eta exactly; q_i is weighted in place and each joint
     # quadrature formed in the spent theta buffer.

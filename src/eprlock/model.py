@@ -174,22 +174,15 @@ class FrequencyPlan:
         for name in ("lambda_s", "lambda_i", "lambda_p"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-
-def validate_frequency_plan(plan: FrequencyPlan) -> tuple[bool, str]:
-    """Check energy conservation 1/ls + 1/li = 1/lp to 1e-3 relative.
-
-    Returns (ok, diagnostic).
-    """
-    lhs = 1.0 / plan.lambda_s + 1.0 / plan.lambda_i
-    rhs = 1.0 / plan.lambda_p
-    rel = abs(lhs - rhs) / rhs
-    ok = rel < 1e-3
-    msg = (
-        f"1/lambda_s + 1/lambda_i = {lhs:.6e} 1/m vs 1/lambda_p = {rhs:.6e} 1/m "
-        f"(relative mismatch {rel:.3e})"
-    )
-    return ok, msg
+        # Energy conservation 1/ls + 1/li = 1/lp, to 1e-3 relative.
+        lhs = 1.0 / self.lambda_s + 1.0 / self.lambda_i
+        rhs = 1.0 / self.lambda_p
+        rel = abs(lhs - rhs) / rhs
+        if not rel < 1e-3:
+            raise ValueError(
+                f"1/lambda_s + 1/lambda_i = {lhs:.6e} 1/m vs 1/lambda_p = {rhs:.6e} 1/m "
+                f"violates energy conservation (relative mismatch {rel:.3e})"
+            )
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from eprlock import cli, estimation, locksim, nopo, spectra
-from eprlock.model import CavityParams, PumpParams, SeedParams, db, wrap_phase
+from eprlock.model import CavityParams, PumpParams, SeedParams, config_from_dict, db, wrap_phase
 from eprlock.locksim import TimeSeries
 
 from conftest import record_verdict
@@ -177,7 +177,7 @@ def test_criterion_08_end_to_end_fig4_pipeline(tmp_path):
 
 def test_criterion_09_lock_loop_regulation():
     cfg = cli.load_config(None, [])
-    sys_cfg = cli._system_config(cfg)
+    sys_cfg = config_from_dict(cfg)
     start = time.perf_counter()
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     result = locksim.run_closed_loop(locksim.LockSettings(**cfg["lock_sim"]), fields)
@@ -197,14 +197,14 @@ def test_criterion_09_lock_loop_regulation():
     ok = (
         sigma <= 0.012
         and result.in_lock_fraction == 1.0
-        and ramp_result.saturation_events.size >= 1
+        and ramp_result.saturation_count >= 1
         and elapsed < 30.0
     )
     _verdict(
         9,
         f"default scenario residual sigma_theta {sigma * 1e3:.1f} mrad <= 12 mrad with "
         f"in_lock_fraction {result.in_lock_fraction:.3f}; actuator-range ramp logs "
-        f"{ramp_result.saturation_events.size} saturation events ({elapsed:.1f} s < 30 s)",
+        f"{ramp_result.saturation_count} saturation events ({elapsed:.1f} s < 30 s)",
         ok,
     )
 

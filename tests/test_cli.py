@@ -282,6 +282,9 @@ _EXIT_2_CASES = [
     ["reproduce", "fig4", "--set", "reproduce_fig4.theta_cutoff=-1"],
     ["synth-epr", "--set", "synth_epr.theta_cutoff=0"],
     ["lock-sim", "--set", "lock_sim.disturbance_i.rng_seed=-1"],
+    ["reproduce", "fig4", "--seed", "-1"],
+    ["reproduce", "fig4", "--set", "run.rng_seed=-1"],
+    ["reproduce", "fig3", "--set", "lock_sim.duration=2e-5"],
 ]
 
 # The entry points of every simulated command: a config they are given has passed its checks.
@@ -529,7 +532,10 @@ class TestFig4Points:
             duration=0.2, rate=2e5, sigma_theta=0.01, theta_cutoff=200.0, epsilons=epsilons, band=(5e3, 1.5e4),
             n_bootstrap=0, detection=model.DetectionParams(0.95, 0.75), gamma=15e6,
         )
-        serial = [locksim.fig4_point(eps, settings, seed + 1000 * (k + 1)) for k, eps in enumerate(epsilons)]
+        buffers = locksim.RecordBuffers.empty(settings.samples)
+        serial = [
+            locksim.fig4_point(eps, settings, seed + 1000 * (k + 1), buffers=buffers) for k, eps in enumerate(epsilons)
+        ]
         assert locksim.fig4_dataset(settings, seed).points == tuple(serial)
 
 
@@ -888,11 +894,12 @@ def _reach(name):
 
 
 def _given(name, args, kwargs) -> dict:
-    """The config values an entry point was given, by the key of their block."""
+    """The config values an entry point was given, by the key of their block;
+    a record draw's ``samples`` is the length of the set it draws into."""
     if name == "synth_theta_process":
-        return dict(zip(["sigma_theta", "theta_cutoff", "duration", "rate"], args))
+        return {**dict(zip(["sigma_theta", "theta_cutoff", "rate"], args)), "samples": kwargs["buffers"].minus.size}
     if name == "synth_epr_photocurrents":
-        return {"duration": args[5], "rate": args[6], "dark_noise": kwargs["dark_noise"]}
+        return {"rate": args[5], "samples": kwargs["buffers"].minus.size, "dark_noise": kwargs["dark_noise"]}
     return dataclasses.asdict(args[1] if name == "fit_phase_noise_model" else args[0])
 
 
@@ -960,6 +967,8 @@ class TestConfigContract:
             except _Reached as reached:
                 given_values = _given(*reached.args)
                 expected = cli.load_config(None, [override])[block]
+                if "samples" in given_values:
+                    expected["samples"] = round(expected["duration"] * expected["rate"])
                 keys = given_values.keys() & expected.keys()
                 assert keys
                 assert {k: _as_json(given_values[k]) for k in keys} == {k: expected[k] for k in keys}

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprlock.model import MAX_SAMPLES, ConfigError, DetectionParams, PhysicsDomainError
+from eprlock.model import MAX_SAMPLES, ConfigError, DetectionParams, PhysicsDomainError, config_from_dict
 from eprlock.nopo import LockFieldState
-from eprlock import estimation, kernels, locksim, spectra
+from eprlock import cli, estimation, kernels, locksim, spectra
 
 
 class TestTimeSeries:
@@ -105,7 +105,7 @@ class TestRunClosedLoop:
         )
         assert np.max(np.abs(result.common_mode_theta.samples)) < 1e-12
         assert result.in_lock_fraction == 1.0
-        assert result.saturation_events.size == 0
+        assert result.saturation_count == 0
         assert not result.unstable
 
     def test_suppresses_slow_drift(self):
@@ -134,7 +134,7 @@ class TestRunClosedLoop:
             locksim.LockSettings(_quiet_loop(actuator_range=20.0), _quiet_loop(), ramp, quiet, quiet, 2.0, 2e5),
             FIELDS,
         )
-        assert result.saturation_events.size >= 1
+        assert result.saturation_count >= 1
         assert result.in_lock_fraction < 1.0
 
     def test_sample_rate_guard(self):
@@ -166,19 +166,19 @@ class TestCalibrateErrorSignal:
 
 class TestSynthThetaProcess:
     def test_exact_rms_and_reproducibility(self):
-        ts = locksim.synth_theta_process(0.01, 200.0, 2.0, 1e5, 9)
+        ts = locksim.synth_theta_process(0.01, 200.0, 1e5, 9, buffers=locksim.RecordBuffers.empty(200000))
         assert np.std(ts.samples) == pytest.approx(0.01, rel=1e-12)
-        again = locksim.synth_theta_process(0.01, 200.0, 2.0, 1e5, 9)
+        again = locksim.synth_theta_process(0.01, 200.0, 1e5, 9, buffers=locksim.RecordBuffers.empty(200000))
         np.testing.assert_array_equal(ts.samples, again.samples)
 
     def test_zero_sigma_is_silent(self):
-        ts = locksim.synth_theta_process(0.0, 200.0, 0.1, 1e4, 9)
+        ts = locksim.synth_theta_process(0.0, 200.0, 1e4, 9, buffers=locksim.RecordBuffers.empty(1000))
         assert np.all(ts.samples == 0.0)
 
     @pytest.mark.parametrize("cutoff", [0.0, -200.0])
     def test_cutoff_must_be_positive(self, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
-            locksim.synth_theta_process(0.01, cutoff, 0.1, 1e4, 9)
+            locksim.synth_theta_process(0.01, cutoff, 1e4, 9, buffers=locksim.RecordBuffers.empty(1000))
 
 
 def _reference_servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
@@ -361,22 +361,31 @@ class TestSynthEprPhotocurrents:
     @pytest.mark.parametrize("dark_noise", [False, True])
     def test_bits_match_the_expression_form(self, n, with_theta, eta_s, eta_i, dark_noise):
         rate = 1e4
-        theta = locksim.synth_theta_process(0.05, 200.0, n / rate, rate, 9) if with_theta else None
-        args = (0.6, eta_s, eta_i, self.GAMMA, theta, n / rate, rate, 21)
-        got = locksim.synth_epr_photocurrents(*args, dark_noise=dark_noise)
-        ref = _reference_synth_epr(*args, dark_noise=dark_noise)
+        theta = None
+        if with_theta:
+            theta = locksim.synth_theta_process(0.05, 200.0, rate, 9, buffers=locksim.RecordBuffers.empty(n))
+        args = (0.6, eta_s, eta_i, self.GAMMA, theta)
+        got = locksim.synth_epr_photocurrents(
+            *args, rate, 21, dark_noise=dark_noise, buffers=locksim.RecordBuffers.empty(n)
+        )
+        ref = _reference_synth_epr(*args, n / rate, rate, 21, dark_noise=dark_noise)
         for q, r in zip(got, ref):
             np.testing.assert_array_equal(q.samples, r)
 
     def test_reproducibility(self):
-        a = locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, None, 0.5, 1e5, 42)
-        b = locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, None, 0.5, 1e5, 42)
+        a = locksim.synth_epr_photocurrents(
+            0.5, 0.9, 0.9, self.GAMMA, None, 1e5, 42, buffers=locksim.RecordBuffers.empty(50000)
+        )
+        b = locksim.synth_epr_photocurrents(
+            0.5, 0.9, 0.9, self.GAMMA, None, 1e5, 42, buffers=locksim.RecordBuffers.empty(50000)
+        )
         np.testing.assert_array_equal(a[0].samples, b[0].samples)
         np.testing.assert_array_equal(a[1].samples, b[1].samples)
 
     def test_difference_current_is_squeezed(self):
-        q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 5.0, 2e5, 3)
-        shot = locksim.band_power(locksim.shot_noise_reference(5.0, 2e5, 4), 5e3, 1.5e4)
+        buffers = locksim.RecordBuffers.empty(1000000)
+        q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 2e5, 3, buffers=buffers)
+        shot = locksim.band_power(locksim.shot_noise_reference(2e5, 4, buffers=buffers), 5e3, 1.5e4)
         minus = locksim.TimeSeries(2e5, (q_s.samples - q_i.samples) / math.sqrt(2.0))
         plus = locksim.TimeSeries(2e5, (q_s.samples + q_i.samples) / math.sqrt(2.0))
         vm = locksim.band_rms(minus, 5e3, 1.5e4, shot)
@@ -392,8 +401,9 @@ class TestSynthEprPhotocurrents:
         eps, duration, rate, f_lo, f_hi = 0.8, 2.0, 2e5, 5e3, 1.5e4
         detection = DetectionParams(eta_s=eta_s, eta_i=eta_i)
         g = detection.idler_weight
-        q_s, q_i = locksim.synth_epr_photocurrents(eps, eta_s, eta_i, self.GAMMA, None, duration, rate, 11)
-        shot = locksim.band_power(locksim.shot_noise_reference(duration, rate, 12), f_lo, f_hi)
+        buffers = locksim.RecordBuffers.empty(round(duration * rate))
+        q_s, q_i = locksim.synth_epr_photocurrents(eps, eta_s, eta_i, self.GAMMA, None, rate, 11, buffers=buffers)
+        shot = locksim.band_power(locksim.shot_noise_reference(rate, 12, buffers=buffers), f_lo, f_hi)
         # Relative scatter of a ratio of two independent band powers.
         scatter = math.sqrt(2.0) * estimation.band_power_scatter(q_s.samples.size, rate, f_lo, f_hi)
         omega = 0.5 * (f_lo + f_hi) / self.GAMMA
@@ -403,15 +413,17 @@ class TestSynthEprPhotocurrents:
             assert locksim.band_rms(joint, f_lo, f_hi, shot) == pytest.approx(expected, rel=5.0 * scatter)
 
     def test_dark_noise_raises_floor(self):
-        clean = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 2.0, 1e5, 5)
-        dark = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, None, 2.0, 1e5, 5, dark_noise=True)
+        args = (0.8, 1.0, 1.0, self.GAMMA, None, 1e5, 5)
+        clean = locksim.synth_epr_photocurrents(*args, buffers=locksim.RecordBuffers.empty(200000))
+        dark = locksim.synth_epr_photocurrents(*args, dark_noise=True, buffers=locksim.RecordBuffers.empty(200000))
         v_clean = np.var(clean[0].samples - clean[1].samples)
         v_dark = np.var(dark[0].samples - dark[1].samples)
         assert v_dark > v_clean
 
     def test_domain_check(self):
+        buffers = locksim.RecordBuffers.empty(1000)
         with pytest.raises(PhysicsDomainError):
-            locksim.synth_epr_photocurrents(1.0, 0.9, 0.9, self.GAMMA, None, 0.1, 1e4, 0)
+            locksim.synth_epr_photocurrents(1.0, 0.9, 0.9, self.GAMMA, None, 1e4, 0, buffers=buffers)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9])
     def test_flat_spectrum_at_zero_pump(self, n):
@@ -419,8 +431,9 @@ class TestSynthEprPhotocurrents:
         the real DC and (n even) Nyquist bins included."""
         rate, records = 1e5, 4000
         power = np.zeros(n // 2 + 1)
+        buffers = locksim.RecordBuffers.empty(n)
         for seed in range(records // 2):
-            for q in locksim.synth_epr_photocurrents(0.0, 1.0, 1.0, self.GAMMA, None, n / rate, rate, seed):
+            for q in locksim.synth_epr_photocurrents(0.0, 1.0, 1.0, self.GAMMA, None, rate, seed, buffers=buffers):
                 power += np.abs(np.fft.rfft(q.samples)) ** 2 / n
         power /= records
         # Over the records, a real bin averages chi-square(1) draws (variance 2),
@@ -431,15 +444,17 @@ class TestSynthEprPhotocurrents:
     def test_theta_rotates_the_quadratures(self):
         n, rate = 20000, 1e5
         quarter_turn = locksim.TimeSeries(rate, np.full(n, math.pi / 2))
-        q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, quarter_turn, n / rate, rate, 3)
+        buffers = locksim.RecordBuffers.empty(n)
+        q_s, q_i = locksim.synth_epr_photocurrents(0.8, 1.0, 1.0, self.GAMMA, quarter_turn, rate, 3, buffers=buffers)
         # Turned by pi/2, the difference current carries the anti-squeezed quadrature.
         assert np.var(q_s.samples - q_i.samples) / 2.0 == pytest.approx(81.0, rel=0.1)
 
     @pytest.mark.parametrize("rate, n", [(2e4, 1000), (1e4, 999), (1e4, 1001)])
     def test_theta_record_must_match_rate_and_length(self, rate, n):
         theta = locksim.TimeSeries(rate, np.zeros(n))
+        buffers = locksim.RecordBuffers.empty(1000)
         with pytest.raises(ValueError, match="theta"):
-            locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 0.1, 1e4, 0)
+            locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, self.GAMMA, theta, 1e4, 0, buffers=buffers)
 
 
 def _reference_synth_theta_process(sigma, cutoff, duration, rate, rng_seed):
@@ -577,12 +592,10 @@ class TestRecordBuffers:
     def test_theta_and_shot_records(self, n, sigma):
         buffers = _stale_buffers(n)
         for seed in (3, 4):  # the second draw reuses the set
-            got = locksim.synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, seed, buffers=buffers)
+            got = locksim.synth_theta_process(sigma, 200.0, self.RATE, seed, buffers=buffers)
             _same_records([got], [_reference_synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, seed)])
-            got = locksim.shot_noise_reference(n / self.RATE, self.RATE, seed, buffers=buffers)
+            got = locksim.shot_noise_reference(self.RATE, seed, buffers=buffers)
             _same_records([got], [_reference_shot_noise_reference(n / self.RATE, self.RATE, seed)])
-        unbuffered = locksim.synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, 3)
-        _same_records([unbuffered], [_reference_synth_theta_process(sigma, 200.0, n / self.RATE, self.RATE, 3)])
 
     @pytest.mark.parametrize("n", [4000, 4001])
     @pytest.mark.parametrize("theta_from", ["none", "set", "caller", "zero"])
@@ -595,20 +608,15 @@ class TestRecordBuffers:
             sigma = 0.0 if theta_from == "zero" else 0.05
             theta = None
             if theta_from != "none":
-                theta = locksim.synth_theta_process(
-                    sigma, 200.0, duration, self.RATE, seed + 1, buffers=buffers if theta_from != "caller" else None
-                )
+                own = buffers if theta_from != "caller" else locksim.RecordBuffers.empty(n)
+                theta = locksim.synth_theta_process(sigma, 200.0, self.RATE, seed + 1, buffers=own)
             ref_theta = None if theta is None else locksim.TimeSeries(self.RATE, theta.samples.copy())
             args = (epsilon, eta_s, eta_i, 15e6)
-            got = locksim.synth_epr_photocurrents(
-                *args, theta, duration, self.RATE, seed, dark_noise=dark_noise, buffers=buffers
-            )
+            got = locksim.synth_epr_photocurrents(*args, theta, self.RATE, seed, dark_noise=dark_noise, buffers=buffers)
             ref = _reference_synth_epr_photocurrents(*args, ref_theta, duration, self.RATE, seed, dark_noise)
             _same_records(got, ref)
             if theta_from == "caller":
                 np.testing.assert_array_equal(theta.samples, ref_theta.samples)  # a caller's theta is not spent
-        unbuffered = locksim.synth_epr_photocurrents(*args, ref_theta, duration, self.RATE, seed, dark_noise)
-        _same_records(unbuffered, ref)
 
     @pytest.mark.parametrize("n", [4000, 4001])
     def test_fig4_points_share_one_set(self, n):
@@ -626,11 +634,29 @@ class TestRecordBuffers:
             ref = _reference_fig4_point(*args)
             assert got == ref
             assert np.array(got).tobytes() == np.array(ref).tobytes()
-            assert locksim.fig4_point(epsilon, settings, seed) == ref
 
-    def test_wrong_length_set_is_refused(self):
-        with pytest.raises(ValueError, match="record buffers hold 100 samples"):
-            locksim.shot_noise_reference(0.01, self.RATE, 0, buffers=locksim.RecordBuffers.empty(100))
+    @pytest.mark.parametrize("sigma, dark_noise", [(0.0, "false"), (0.01, "false"), (0.01, "true")])
+    def test_synth_epr_command_keeps_the_reference_records(self, tmp_path, sigma, dark_noise):
+        """synth-epr draws theta, the photocurrents and the shot reference
+        into one set, as a fig4 point does, and writes the reference bits."""
+        overrides = ["synth_epr.duration=0.05", f"synth_epr.sigma_theta={sigma}", f"synth_epr.dark_noise={dark_noise}"]
+        assert cli.main(["synth-epr", *(f"--set={o}" for o in overrides), "--out", str(tmp_path)]) == 0
+        cfg = cli.load_config(None, overrides)
+        sys_cfg, block, seed = config_from_dict(cfg), cfg["synth_epr"], cfg["run"]["rng_seed"]
+        duration, rate = block["duration"], block["rate"]
+        theta = None
+        if sigma > 0:
+            theta = _reference_synth_theta_process(sigma, block["theta_cutoff"], duration, rate, seed + 1)
+        detection = sys_cfg.detection
+        q_s, q_i = _reference_synth_epr_photocurrents(
+            sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, sys_cfg.cavity.gamma_total, theta, duration, rate,
+            seed, block["dark_noise"],
+        )
+        shot = _reference_shot_noise_reference(duration, rate, seed + 2)
+        currents = np.loadtxt(tmp_path / "photocurrents.csv", delimiter=",", skiprows=1)
+        written = np.loadtxt(tmp_path / "shot_reference.csv", delimiter=",", skiprows=1)
+        for column, ref in ((currents[:, 1], q_s), (currents[:, 2], q_i), (written[:, 1], shot)):
+            assert column.tobytes() == ref.samples.tobytes()
 
     def test_second_point_allocates_less_than_a_record(self):
         """At the default 1M samples, a point drawn into a set that an earlier
@@ -653,9 +679,9 @@ class TestSampleBudget:
     @pytest.mark.parametrize("duration, rate", [(MAX_SAMPLES / 1e4 + 1.0, 1e4), (1e300, 1e300)])
     def test_records_past_the_budget_are_refused(self, duration, rate):
         with pytest.raises(ConfigError, match="sample budget"):
-            locksim.synth_theta_process(0.01, 200.0, duration, rate, 0)
+            locksim.RecordSettings(duration, rate, 0.01, 200.0)
         with pytest.raises(ConfigError, match="sample budget"):
-            locksim.synth_epr_photocurrents(0.5, 0.9, 0.9, 15e6, None, duration, rate, 0)
+            locksim.RecordBuffers.empty(duration * rate)
 
     def test_budget_is_inclusive(self):
         assert locksim._sample_count(MAX_SAMPLES / 1e4, 1e4) == MAX_SAMPLES
@@ -676,11 +702,11 @@ class TestCalibratedThetaPsd:
 
 class TestBandRms:
     def test_white_noise_is_unit_ratio(self):
-        a = locksim.shot_noise_reference(5.0, 1e5, 1)
-        b = locksim.shot_noise_reference(5.0, 1e5, 2)
+        a = locksim.shot_noise_reference(1e5, 1, buffers=locksim.RecordBuffers.empty(500000))
+        b = locksim.shot_noise_reference(1e5, 2, buffers=locksim.RecordBuffers.empty(500000))
         assert locksim.band_rms(a, 1e3, 2e4, locksim.band_power(b, 1e3, 2e4)) == pytest.approx(1.0, rel=0.05)
 
     def test_band_past_nyquist_is_refused(self):
-        a = locksim.shot_noise_reference(1.0, 1e4, 1)
+        a = locksim.shot_noise_reference(1e4, 1, buffers=locksim.RecordBuffers.empty(10000))
         with pytest.raises(ValueError):
             locksim.band_rms(a, 1e3, 6e3, 1.0)

@@ -23,7 +23,6 @@ from eprlock.model import (
     db,
     fork_join,
     usable_cpus,
-    validate_frequency_plan,
     wrap_phase,
 )
 
@@ -64,16 +63,13 @@ class TestDb:
 
 
 class TestFrequencyPlan:
-    def test_energy_conserving_plan_validates(self):
+    def test_energy_conserving_plan_constructs(self):
         plan = FrequencyPlan(lambda_s=1064e-9, lambda_i=852e-9, lambda_p=473e-9)
-        ok, msg = validate_frequency_plan(plan)
-        assert ok
-        assert "relative mismatch" in msg
+        assert plan.lambda_p == 473e-9
 
-    def test_violating_plan_fails(self):
-        plan = FrequencyPlan(lambda_s=1064e-9, lambda_i=1064e-9, lambda_p=473e-9)
-        ok, _ = validate_frequency_plan(plan)
-        assert not ok
+    def test_violating_plan_is_refused(self):
+        with pytest.raises(ValueError, match="energy conservation.*relative mismatch"):
+            FrequencyPlan(lambda_s=1064e-9, lambda_i=1064e-9, lambda_p=473e-9)
 
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError):
