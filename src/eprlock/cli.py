@@ -97,7 +97,7 @@ DEFAULT_CONFIG: dict = {
         "theta_cutoff": 200.0,
         "dark_noise": False,
     },
-    "fit_settings": {"mode": "small-angle", "n_bootstrap": 200},
+    "fit_settings": {"mode": "small-angle"},
     "reproduce_fig4": {
         "epsilons": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
         "sigma_theta": 0.01,
@@ -105,7 +105,6 @@ DEFAULT_CONFIG: dict = {
         "duration": 5.0,
         "rate": 2e5,
         "band": [5e3, 1.5e4],
-        "n_bootstrap": 50,
     },
     "reproduce_fig5": {"f_lo": 5e3, "f_hi": 1.7e4, "points": 121},
 }
@@ -444,13 +443,16 @@ def _cmd_fit(cfg, sys_cfg, input_path):
     if data.shape[1] < 4:
         raise ConfigError("fit input needs columns epsilon,var_minus,var_plus,uncert")
     dataset = estimation.SqueezingDataset(points=tuple(map(tuple, data[:, :4])))
-    result = estimation.fit_phase_noise_model(dataset, settings, cfg["run"]["rng_seed"])
+    result = estimation.fit_phase_noise_model(dataset, settings)
     return {"fit.json": asdict(result)}
 
 
 def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
     settings = locksim.LockSettings(**cfg["lock_sim"])
-    estimation.welch_frequencies(settings.samples, settings.rate)
+    try:
+        estimation.welch_frequencies(settings.samples, settings.rate)
+    except ValueError as exc:
+        raise ConfigError(f"lock_sim.duration = {settings.duration} s is too short for fig3's PSD: {exc}") from exc
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     result = locksim.run_closed_loop(settings, fields)
     common = result.common_mode_theta
@@ -472,9 +474,9 @@ def _cmd_reproduce_fig4(cfg, sys_cfg, input_path):
     settings = locksim.Fig4Settings(
         **cfg["reproduce_fig4"], detection=sys_cfg.detection, gamma=sys_cfg.cavity.gamma_total
     )
-    fit = estimation.FitSettings(cfg["fit_settings"]["mode"], settings.n_bootstrap)
+    fit = estimation.FitSettings(**cfg["fit_settings"])
     dataset = locksim.fig4_dataset(settings, cfg["run"]["rng_seed"])
-    result = estimation.fit_phase_noise_model(dataset, fit, cfg["run"]["rng_seed"])
+    result = estimation.fit_phase_noise_model(dataset, fit)
     payload = asdict(result)
     payload["injected_sigma_theta"] = settings.sigma_theta
     payload["injected_eta"] = sys_cfg.detection.eta

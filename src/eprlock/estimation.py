@@ -108,7 +108,7 @@ def welch_frequencies(n_samples: int, rate: float) -> np.ndarray:
     a ValueError if the record is shorter than one segment."""
     segment_length = default_segment_length(n_samples)
     if segment_length > n_samples:
-        raise ValueError("series shorter than one segment")
+        raise ValueError(f"series of {n_samples} samples is shorter than one segment of {segment_length}")
     return np.fft.rfftfreq(segment_length, d=1.0 / rate)
 
 
@@ -222,26 +222,22 @@ def _sigma_from_weight(w: float, mode: str) -> float:
 @dataclass(frozen=True)
 class FitSettings:
     """The phase-noise ``mode`` of ``fit_phase_noise_model`` (see
-    ``spectra.phase_noise_weight``) and its bootstrap resamples, 0 for none."""
+    ``spectra.phase_noise_weight``)."""
 
     mode: str
-    n_bootstrap: int
 
     def __post_init__(self):
         phase_noise_weight(0.0, self.mode)  # a ValueError for an unknown mode
-        if self.n_bootstrap < 0:
-            raise ValueError(f"n_bootstrap = {self.n_bootstrap} is negative (0 skips the bootstrap)")
 
 
-def fit_phase_noise_model(data: SqueezingDataset, settings: FitSettings, bootstrap_seed: int = 0) -> FitResult:
+def fit_phase_noise_model(data: SqueezingDataset, settings: FitSettings) -> FitResult:
     """Joint weighted least-squares fit of (eta, sigma_Theta) to both branches.
 
     The model is affine in (a, b) = (eta, eta*w(sigma_Theta)), and the box
     eta in [0, 1], sigma_Theta in [0, 0.5] is a triangle in (a, b), where
     ``_solve_triangle`` finds the exact optimum. Uncertainties are
-    s^2 (A^T A)^-1 carried to (eta, sigma_Theta) by the delta method,
-    cross-checked by a seeded bootstrap over data points (the larger of the
-    two is reported). A sigma_Theta pinned at 0 reports the one-sided bound
+    s^2 (A^T A)^-1 carried to (eta, sigma_Theta) by the delta method.
+    A sigma_Theta pinned at 0 reports the one-sided bound
     sqrt(s_err) of s = sigma_Theta^2. A sigma_Theta at its 0.5 rad upper
     bound, or an eta_hat of 0, which leaves sigma_Theta free, is a
     NumericalError.
@@ -293,22 +289,5 @@ def fit_phase_noise_model(data: SqueezingDataset, settings: FitSettings, bootstr
     if eta_err > 1.0 or (sigma_err > _SIGMA_MAX and not at_boundary):
         msg = f"1-sigma errors {eta_err:.3g}, {sigma_err:.3g} against bound widths 1, {_SIGMA_MAX}"
         raise NumericalError(f"the data do not determine (eta, sigma_Theta): {msg}")
-
-    if settings.n_bootstrap > 0:
-        rng = np.random.default_rng(bootstrap_seed)
-        n_pts = eps.size
-        etas, sigmas = [], []
-        for _ in range(settings.n_bootstrap):
-            idx = rng.integers(0, n_pts, n_pts)
-            if np.unique(eps[idx]).size < 3:
-                continue
-            rows = np.concatenate([idx, idx + n_pts])
-            boot_a, boot_b = _solve_triangle(A[rows], y[rows], w_max)
-            if boot_a > 0.0:
-                etas.append(boot_a)
-                sigmas.append(_sigma_from_weight(min(boot_b / boot_a, w_max), mode))
-        if len(etas) >= 10:
-            eta_err = max(eta_err, float(np.std(etas)))
-            sigma_err = max(sigma_err, float(np.std(sigmas)))
 
     return FitResult(eta_hat, sigma_hat, eta_err, sigma_err, residual_norm, converged=True, at_boundary=at_boundary)

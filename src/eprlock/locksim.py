@@ -432,12 +432,11 @@ def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, P
 @dataclass(frozen=True)
 class Fig4Settings(RecordSettings):
     """fig4's records, pump ``epsilons``, ``band`` [f_lo, f_hi] (Hz) of two or
-    more Welch bins, the source's ``detection`` and total decay rate ``gamma``
-    (Hz), and its fit's ``n_bootstrap``, which the points do not read."""
+    more Welch bins, and the source's ``detection`` and total decay rate
+    ``gamma`` (Hz)."""
 
     epsilons: tuple
     band: tuple
-    n_bootstrap: int
     detection: DetectionParams
     gamma: float
 

@@ -36,6 +36,23 @@ def _read_csv(path):
     return rows[0], np.array([[float(x) for x in row] for row in rows[1:]])
 
 
+def _squeezing_table(path, rel_noise=0.0):
+    """A fit table of the model at eta 0.89, sigma_Theta 0.01 on eight pump
+    points, each variance times 1 + rel_noise * (a seeded normal draw)."""
+    from eprlock import spectra
+
+    noise = 1.0 + rel_noise * np.random.default_rng(3).standard_normal((8, 2))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["epsilon", "var_minus", "var_plus", "uncert"])
+        for (n_minus, n_plus), eps in zip(noise, (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)):
+            vm = spectra.two_mode_variance(eps, 0.89, 0.0, "minus")
+            vp = spectra.two_mode_variance(eps, 0.89, 0.0, "plus")
+            pn_minus, pn_plus = spectra.phase_noise_variance(vm, vp, 0.01), spectra.phase_noise_variance(vp, vm, 0.01)
+            writer.writerow((eps, pn_minus * n_minus, pn_plus * n_plus, 0.01))
+    return path
+
+
 @pytest.fixture(params=[1, 2, 4], ids=lambda workers: f"{workers}-workers")
 def fig4_workers(request, monkeypatch):
     """fig4_dataset on 1, 2 or 4 worker threads (4 is more than a 2-core host
@@ -260,8 +277,8 @@ _EXIT_2_CASES = [
     ["fit", "--input", "{three_rows}"],
     ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.band=[0,2e6]"],
     ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.band=[15000, 5000]"],
-    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.n_bootstrap=-1"],
-    ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=-1"],
+    ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=0"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.n_bootstrap=50"],
     ["psd", "--input", "{constant_t}"],
     ["calibrate", "--input", "{constant_t}"],
     ["psd", "--input", "{nan_value}"],
@@ -329,6 +346,20 @@ class TestRejectedSettings:
         assert err["error"] == "config"
         assert named is None or named in err["message"]
         assert not out.exists()
+
+    def test_a_short_record_names_its_length(self, tmp_path, capsys):
+        """A record shorter than one Welch segment is refused with its length and the minimum."""
+        table = tmp_path / "five_rows.csv"
+        table.write_text("t,value\n" + "".join(f"{k},{k % 3}\n" for k in range(5)))
+        cases = [
+            (["reproduce", "fig3", "--set", "lock_sim.duration=2e-5"], ["lock_sim.duration", "of 4 samples"]),
+            (["psd", "--input", str(table)], ["of 5 samples"]),
+        ]
+        for args, names in cases:
+            assert cli.main([*args, "--out", str(tmp_path / "run")]) == 2
+            message = json.loads(capsys.readouterr().err)["message"]
+            for name in [*names, "shorter than one segment of 8"]:
+                assert name in message, message
 
     @pytest.mark.parametrize(
         "args", [args for args in _EXIT_2_CASES if "--set" in args], ids=lambda args: " ".join(args)
@@ -484,7 +515,7 @@ class TestFig4AtZeroPhaseNoise:
         pinned = {}
         for seed in range(100, 112):
             out = tmp_path / str(seed)
-            args = ["--seed", str(seed), "--set", "reproduce_fig4.sigma_theta=0", "--set", "reproduce_fig4.n_bootstrap=0"]
+            args = ["--seed", str(seed), "--set", "reproduce_fig4.sigma_theta=0", "--set", "reproduce_fig4.duration=0.5"]
             assert cli.main(["reproduce", "fig4", *args, "--out", str(out)]) == 0
             fit = _read_json(out / "fig4_fit.json")
             if fit["at_boundary"]:
@@ -530,7 +561,7 @@ class TestFig4Points:
         epsilons = cli.DEFAULT_CONFIG["reproduce_fig4"]["epsilons"]
         settings = locksim.Fig4Settings(
             duration=0.2, rate=2e5, sigma_theta=0.01, theta_cutoff=200.0, epsilons=epsilons, band=(5e3, 1.5e4),
-            n_bootstrap=0, detection=model.DetectionParams(0.95, 0.75), gamma=15e6,
+            detection=model.DetectionParams(0.95, 0.75), gamma=15e6,
         )
         buffers = locksim.RecordBuffers.empty(settings.samples)
         serial = [
@@ -604,27 +635,9 @@ class TestInputCommands:
         assert peak == pytest.approx(f0, rel=0.01)
 
     def test_fit_on_synthetic_table(self, tmp_path):
-        from eprlock import spectra
-
-        rows = []
-        for eps in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8):
-            vm = spectra.two_mode_variance(eps, 0.89, 0.0, "minus")
-            vp = spectra.two_mode_variance(eps, 0.89, 0.0, "plus")
-            rows.append(
-                (
-                    eps,
-                    spectra.phase_noise_variance(vm, vp, 0.01),
-                    spectra.phase_noise_variance(vp, vm, 0.01),
-                    0.01,
-                )
-            )
-        table = tmp_path / "dataset.csv"
-        with open(table, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epsilon", "var_minus", "var_plus", "uncert"])
-            writer.writerows(rows)
+        table = _squeezing_table(tmp_path / "dataset.csv")
         out = tmp_path / "run"
-        args = ["fit", "--input", str(table), "--out", str(out), "--set", "fit_settings.n_bootstrap=0"]
+        args = ["fit", "--input", str(table), "--out", str(out)]
         assert cli.main(args) == 0
         payload = _read_json(out / "fit.json")
         assert payload["eta_hat"] == pytest.approx(0.89, abs=1e-4)
@@ -660,9 +673,9 @@ _EVERY_COMMAND = [
     ["synth-epr", "--set", "synth_epr.duration=0.05"],
     ["calibrate", "--input", "{fringe}"],
     ["psd", "--input", "{trace}"],
-    ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=0"],
+    ["fit", "--input", "{dataset}"],
     ["reproduce", "fig3", "--set", "lock_sim.duration=0.1"],
-    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1", "--set", "reproduce_fig4.n_bootstrap=0"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.1"],
     ["reproduce", "fig5"],
 ]
 
@@ -785,6 +798,16 @@ class TestReproducibility:
         ma.pop("timestamp")
         mb.pop("timestamp")
         assert ma == mb
+
+    def test_fit_does_not_depend_on_the_seed(self, tmp_path):
+        """The fit draws nothing, so one table gives the same fit.json at any --seed."""
+        table = _squeezing_table(tmp_path / "dataset.csv", rel_noise=0.01)
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert cli.main(["fit", "--input", str(table), "--out", str(out), "--seed", seed]) == 0
+            written.append((out / "fit.json").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestForkedWorker:
@@ -913,8 +936,8 @@ def _as_json(value):
 
 
 class TestConfigContract:
-    def test_default_config_has_68_leaves(self):
-        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 68
+    def test_default_config_has_66_leaves(self):
+        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 66
 
     @settings(deadline=None, max_examples=120)
     @given(
@@ -943,7 +966,7 @@ class TestConfigContract:
         with tempfile.TemporaryDirectory() as tmp:
             table = Path(tmp) / "table.csv"
             table.write_text("\n".join([",".join(_INPUT_COLUMNS[command]), *rows]) + "\n")
-            args = [command, "--input", str(table), "--set", "fit_settings.n_bootstrap=10"]
+            args = [command, "--input", str(table)]
             _assert_exit_contract(args, Path(tmp))
 
     @settings(deadline=None, max_examples=100)

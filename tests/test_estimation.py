@@ -144,7 +144,7 @@ EPS_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 class TestFitPhaseNoiseModel:
     def test_noiseless_round_trip(self):
         ds = _synthetic_dataset(0.89, 0.01, EPS_GRID)
-        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 0))
+        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
         assert fit.eta_hat == pytest.approx(0.89, abs=1e-5)
         assert fit.sigma_hat == pytest.approx(0.01, abs=1e-5)
         assert fit.converged
@@ -153,13 +153,13 @@ class TestFitPhaseNoiseModel:
 
     def test_exact_gaussian_round_trip(self):
         ds = _synthetic_dataset(0.8, 0.05, EPS_GRID, mode="exact-gaussian")
-        fit = estimation.fit_phase_noise_model(ds, FitSettings("exact-gaussian", 0))
+        fit = estimation.fit_phase_noise_model(ds, FitSettings("exact-gaussian"))
         assert fit.eta_hat == pytest.approx(0.8, abs=1e-5)
         assert fit.sigma_hat == pytest.approx(0.05, abs=1e-5)
 
-    def test_noisy_recovery_with_bootstrap_errors(self):
+    def test_noisy_recovery_with_delta_method_errors(self):
         ds = _synthetic_dataset(0.89, 0.01, EPS_GRID, rel_unc=0.01, noise_seed=3)
-        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 60), 1)
+        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
         assert fit.eta_hat == pytest.approx(0.89, abs=0.02)
         assert fit.sigma_hat == pytest.approx(0.01, abs=0.003)
         assert fit.eta_err > 0
@@ -167,7 +167,7 @@ class TestFitPhaseNoiseModel:
 
     def test_zero_phase_noise_hits_boundary_flag(self):
         ds = _synthetic_dataset(0.89, 0.0, EPS_GRID)
-        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 0))
+        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
         assert fit.eta_hat == pytest.approx(0.89, abs=1e-4)
         assert fit.sigma_hat < 1e-3
         assert fit.at_boundary
@@ -178,60 +178,56 @@ class TestFitPhaseNoiseModel:
         (sigma_err read ~1e3 rad); the bound sqrt(w_err) of w = sigma^2 does not."""
         for seed in range(4):
             ds = _synthetic_dataset(0.89, 0.0, EPS_GRID, rel_unc=0.01, noise_seed=seed)
-            fit = estimation.fit_phase_noise_model(ds, FitSettings(mode, 0))
+            fit = estimation.fit_phase_noise_model(ds, FitSettings(mode))
             assert fit.at_boundary
             assert 1e-3 < fit.sigma_err < 0.05
 
     def test_zero_uncertainty_weights_relative_error(self):
         ds = _synthetic_dataset(0.89, 0.01, EPS_GRID, rel_unc=0.0)
-        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 0))
+        fit = estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
         assert fit.eta_hat == pytest.approx(0.89, abs=1e-4)
         assert fit.sigma_hat == pytest.approx(0.01, abs=1e-4)
         # Unknown uncertainties are equal relative ones, whose value s^2 cancels.
         noisy = _synthetic_dataset(0.89, 0.01, EPS_GRID, rel_unc=0.01, noise_seed=5)
         unknown = estimation.SqueezingDataset(points=tuple(p[:3] + (0.0,) for p in noisy.points))
-        fits = [estimation.fit_phase_noise_model(d, FitSettings("small-angle", 0)) for d in (unknown, noisy)]
+        fits = [estimation.fit_phase_noise_model(d, FitSettings("small-angle")) for d in (unknown, noisy)]
         for name in ("eta_hat", "sigma_hat", "eta_err", "sigma_err"):
             assert getattr(fits[0], name) == pytest.approx(getattr(fits[1], name), rel=1e-12), name
 
     def test_too_few_points(self):
         ds = estimation.SqueezingDataset(points=((0.1, 0.9, 1.2, 0.01), (0.5, 0.4, 5.0, 0.01)))
         with pytest.raises(ValueError, match="4"):
-            estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 200))
+            estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
 
     def test_undetermined_parameters_are_a_numerical_error(self):
         # At epsilon = 0 neither variance depends on (eta, sigma): J^T J = 0.
         ds = estimation.SqueezingDataset(points=((0.0, 1.0, 1.0, 0.01),) * 4)
         with pytest.raises(NumericalError, match="singular"):
-            estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 200))
+            estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
 
     @pytest.mark.parametrize("mode", spectra.PHASE_NOISE_MODES)
     def test_sigma_at_its_upper_bound_is_a_numerical_error(self, mode):
         # Injected past the bound, sigma_Theta pins at 0.5 rad, where it no longer fits the data.
         ds = _synthetic_dataset(0.89, 0.8, EPS_GRID, rel_unc=0.01, noise_seed=1, mode=mode)
         with pytest.raises(NumericalError, match="upper bound 0.5 rad"):
-            estimation.fit_phase_noise_model(ds, FitSettings(mode, 0))
+            estimation.fit_phase_noise_model(ds, FitSettings(mode))
 
     def test_eta_at_zero_leaves_sigma_undetermined(self):
         # Both branches at shot noise: eta_hat = 0, and then sigma_Theta multiplies nothing.
         ds = estimation.SqueezingDataset(points=tuple((e, 1.0, 1.0, 0.01) for e in EPS_GRID))
         with pytest.raises(NumericalError, match="bound widths"):
-            estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 0))
-
-    def test_negative_bootstrap_is_rejected(self):
-        with pytest.raises(ValueError, match="n_bootstrap = -1 is negative"):
-            estimation.fit_phase_noise_model(_synthetic_dataset(0.89, 0.01, EPS_GRID), FitSettings("small-angle", -1))
+            estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
 
     def test_unknown_mode_is_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            estimation.fit_phase_noise_model(_synthetic_dataset(0.89, 0.01, EPS_GRID), FitSettings("bogus", 200))
+            estimation.fit_phase_noise_model(_synthetic_dataset(0.89, 0.01, EPS_GRID), FitSettings("bogus"))
 
     def test_errors_wider_than_the_bounds_are_a_numerical_error(self):
         # Near epsilon = 0 the variances barely depend on (eta, sigma): J^T J is
         # invertible (cond ~5e5), but the 1-sigma errors exceed the bound widths.
         ds = estimation.SqueezingDataset(points=tuple((e, 1.0, 1.0, 0.01) for e in (1e-6, 2e-6, 3e-6, 4e-6)))
         with pytest.raises(NumericalError, match="bound widths"):
-            estimation.fit_phase_noise_model(ds, FitSettings("small-angle", 0))
+            estimation.fit_phase_noise_model(ds, FitSettings("small-angle"))
 
 
 def _model_variances(eps, eta, sigma, omega_norm, mode):
@@ -260,7 +256,7 @@ class TestClosedFormFit:
         """The delta-method errors equal s^2 (J^T J)^-1 of the whitened
         residuals in (eta, sigma_Theta), J by central differences."""
         ds = _synthetic_dataset(0.8, 0.2, EPS_GRID, rel_unc=0.01, noise_seed=2, mode=mode)
-        fit = estimation.fit_phase_noise_model(ds, FitSettings(mode, 0))
+        fit = estimation.fit_phase_noise_model(ds, FitSettings(mode))
         eps, vm, vp, unc = ds.epsilons, ds.var_minus, ds.var_plus, ds.uncertainties
 
         def residuals(p):
@@ -328,8 +324,8 @@ class TestClosedFormFit:
         ds = estimation.SqueezingDataset(points=tuple(zip(eps, vm, vp, unc)))
         if case in ("sigma-max edge", "eta-zero vertex"):
             with pytest.raises(NumericalError):
-                estimation.fit_phase_noise_model(ds, FitSettings(mode, 0))
+                estimation.fit_phase_noise_model(ds, FitSettings(mode))
         else:
-            fit = estimation.fit_phase_noise_model(ds, FitSettings(mode, 0))
+            fit = estimation.fit_phase_noise_model(ds, FitSettings(mode))
             assert fit.converged
             assert fit.residual_norm == pytest.approx(math.sqrt(closed), rel=1e-9)

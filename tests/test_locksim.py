@@ -560,7 +560,7 @@ def _fig4_settings(detection, gamma, sigma_theta, theta_cutoff, duration, rate, 
     """Fig4Settings for pump points, in _reference_fig4_point's argument order."""
     return locksim.Fig4Settings(
         duration=duration, rate=rate, sigma_theta=sigma_theta, theta_cutoff=theta_cutoff,
-        epsilons=(0.1, 0.2, 0.3, 0.4), band=(f_lo, f_hi), n_bootstrap=0, detection=detection, gamma=gamma,
+        epsilons=(0.1, 0.2, 0.3, 0.4), band=(f_lo, f_hi), detection=detection, gamma=gamma,
     )
 
 
