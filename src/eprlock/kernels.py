@@ -1,5 +1,5 @@
-"""Hot numerical kernels: RK4 cavity integration, the servo inner loop and a
-one-pole low-pass filter."""
+"""Hot numerical kernels: RK4 cavity integration, the servo inner loop, a
+one-pole low-pass filter and the CSV row formatter."""
 
 from __future__ import annotations
 
@@ -155,3 +155,209 @@ def one_pole_lowpass(x, alpha, out=None):
     np.cumsum(blocks, axis=1, out=blocks)
     blocks *= powers
     return y[:n]
+
+
+# Exact powers of ten: 10**k as int64 (k <= 18) and as float64 (k <= 22, the
+# largest whose float is exact), with the float's Veltkamp split into two
+# 26-bit halves for Dekker's two-product.
+_P10I = np.concatenate(([1], np.cumprod(np.full(18, 10, np.int64))))
+_P10F = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))
+_SPLITTER = 134217729.0  # 2**27 + 1
+_P10H = _P10F * _SPLITTER - (_P10F * _SPLITTER - _P10F)
+_P10L = _P10F - _P10H
+# The raw digits (not ASCII) of 0..9999, four bytes per number, first digit lowest.
+_DIGITS4 = np.arange(10000, dtype=np.uint64)
+_DIGITS4 = _DIGITS4 // 1000 | _DIGITS4 // 100 % 10 << 8 | _DIGITS4 // 10 % 10 << 16 | _DIGITS4 % 10 << 24
+# Bytes per cell in the kernel's row; see _cell_templates.
+_CELL = 40
+
+
+def _cell_templates():
+    """One 40-byte template per (sign, decimal-point position p, digit count n, row end).
+
+    A cell is laid out at fixed columns: the integer digits end at column 16,
+    column 17 holds the point, and the fraction digits start at column 18.
+    The template holds the ASCII of every byte of the cell's text except that
+    it holds 0x30 ('0') where a digit goes, and 0 outside the text, so OR-ing
+    the raw digits in gives the cell and its nonzero bytes are the mask that
+    compacts it. ``p`` is repr's: the value is 0.d1d2...dn * 10**p. repr
+    writes 1 <= p <= 16 as d1..dp.d(p+1).. (at least one fraction digit),
+    -3 <= p <= 0 as 0.000d1..dn, and p of -4 or -5 as d1.d2..dne-05 or e-06.
+    The cell ends with ',' or, at a row end, CRLF.
+    """
+    p, n = np.ix_(range(-5, 17), range(1, 18))
+    exp = p <= -4
+    first = np.where(p >= 1, 17 - p, np.where(exp, 16, 16 + p))  # the first digit's column
+    point = np.where((p <= 0) & ~exp, 17 + p, 17)
+    frac = np.where(p >= 1, np.maximum(n - p, 1), np.where(exp, n - 1, n))
+    stop = 18 + frac - (exp & (n == 1))  # the column after the last digit
+    suffix = np.where(p == -4, 0x35302D65, 0x36302D65)  # b"e-05", b"e-06" as little-endian words
+    col, f, pt, st, e = np.arange(_CELL), first[..., None], point[..., None], stop[..., None], exp[..., None]
+    t = np.where((col >= f) & (col < st), ord("0"), 0)
+    t = np.where((col == pt) & (~e | (n[..., None] > 1)), ord("."), t)
+    t = np.where(e & (col >= st) & (col < st + 4), suffix[..., None] >> 8 * (col - st) & 0xFF, t)
+    stop = stop + 4 * exp
+    # The sign and the row end patch single bytes of the 374 (p, n) layouts,
+    # which keeps the temporaries of this import-time build small.
+    table = np.empty((2, 22, 17, 2, _CELL), np.uint8)
+    table[:] = t[None, :, :, None, :]
+    i, j = np.indices(stop.shape)
+    table[1, i, j, :, first - 1] = ord("-")
+    table[:, i, j, 0, stop] = ord(",")
+    table[:, i, j, 1, stop] = ord("\r")
+    table[:, i, j, 1, stop + 1] = ord("\n")
+    return table.reshape(-1, _CELL).view("<u8")
+
+
+_TEMPLATES = _cell_templates()
+# By p + 5: how many of the 17 digits go before the point (d1 alone in
+# e-notation, none for 0.000ddd), as 10**(17 - that) and 10**that.
+_CUT = np.r_[1, 1, 0, 0, 0, 0, 1:17]
+_CUT_UNIT, _CUT_SCALE = _P10I[17 - _CUT], _P10I[_CUT]
+
+
+def _times_power_of_ten(x, k):
+    """x * 10**k as an unevaluated sum p + e, exactly (Dekker 1971), and the factor."""
+    c = _P10F[k]
+    p = x * c
+    t = x * _SPLITTER
+    xh = t - (t - x)
+    xl = x - xh
+    ch, cl = _P10H[k], _P10L[k]
+    return p, ((xh * ch - p) + xh * cl + xl * ch) + xl * cl, c
+
+
+def _round_digits(d17, f, k):
+    """The nearest integer to (d17 + f) / 10**k, for |f| <= 1/2; a tie goes either way."""
+    s = 10**k
+    q = d17 // s
+    t = d17 - q * s - s // 2
+    return q + ((t > 0) | ((t == 0) & (f > 0)))
+
+
+def _shortest_digits(ax):
+    """repr's digits of each x in ``ax`` (1e-6 < x < 1e16, significand not a power of two).
+
+    Returns (d, n, g, exact): x's shortest round-trip decimal is the n-digit
+    integer d times 10**(g - n + 1), g = floor(log10 x). ``exact`` is False
+    where two decimals tie as the nearest, which leaves the choice to repr.
+    repr writes the fewest digits that read back as x, and of those the
+    nearest (Steele & White 1990; Gay's dtoa mode 0). x's rounding interval
+    is symmetric (x is not a power of two), so the nearest n-digit decimal
+    reads back as x exactly when any n-digit decimal does; the nearest
+    17-digit one always does. Two 15-digit decimals are 10**(g - 14) apart,
+    over twice x's half ulp, so at most one of them reads back as x: when the
+    nearest does, every shorter decimal that reads back is that same number,
+    and it is the nearest 15-digit decimal without its trailing zeros.
+    """
+    g = np.floor(np.log10(ax)).astype(np.int64)  # fixed below where log10 rounds across a power of ten
+    np.clip(g, -6, 15, out=g)
+    p, e, c = _times_power_of_ten(ax, 16 - g)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        g[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], e[fix], c[fix] = _times_power_of_ten(ax[fix], 16 - g[fix])
+    # x * 10**(16 - g) = d17 + f exactly, with 1e16 <= d17 + f < 1e17 and |f| <= 1/2.
+    r = np.rint(e)
+    d17 = p.astype(np.int64) + r.astype(np.int64)
+    f = e - r  # exact (Sterbenz)
+    # 16 digits: d16 reads back as x iff 10*d16 lies within half an ulp of x,
+    # scaled by 10**(16 - g) like d17 + f. Both sides are exact: the bound is c
+    # times a power of two, and dist needs at most 53 bits, since x > 1e-6 puts
+    # the lowest bit of d17 + f at 2**-50 or above. They are never equal: a
+    # 16-digit decimal halfway between two doubles would put x itself on the
+    # 16-digit grid, at distance 0.
+    d16 = _round_digits(d17, f, 1)
+    dist = np.abs((10 * d16 - d17).astype(float) - f)
+    short = dist < np.ldexp(c, np.frexp(ax)[1] - 54)
+    # The ties: two 16-digit decimals 5 away, two 17-digit ones 1/2 away.
+    exact = np.where(short, dist != 5.0, np.abs(f) != 0.5)
+    d = np.where(short, d16, d17)
+    n = 17 - short
+    # 15 digits by Clinger's fast path (1990): d15 < 2**53 and 10**|m| <= 1e22
+    # are exact, so one correctly rounded multiply or divide gives the double
+    # that d15 * 10**m reads back as. A tie does not matter here: it lies
+    # 5e-15 relative away from x, beyond x's half ulp, so it never reads back.
+    idx = np.flatnonzero(short)
+    if idx.size:
+        d15 = _round_digits(d17[idx], f[idx], 2)
+        m = g[idx] - 14
+        back = d15.astype(float) * _P10F[np.maximum(m, 0)] / _P10F[np.maximum(-m, 0)] == ax[idx]
+        idx, d15 = idx[back], d15[back]
+        n15 = np.full(idx.size, 15)
+        for k in (8, 4, 2, 1):  # strip the trailing zeros, at most 14
+            q = d15 // 10**k
+            zeros = d15 == q * 10**k
+            d15 = np.where(zeros, q, d15)
+            n15 -= k * zeros
+        d[idx], n[idx] = d15, n15
+    return d, n, g, exact
+
+
+def _digits8(v):
+    """The raw digits of each v < 10**8 as one word, its first digit in the lowest byte."""
+    q = v // 10**4
+    return _DIGITS4[q] | _DIGITS4[v - q * 10**4] << 32
+
+
+def _digit_words(a, q):
+    """Each cell's raw digits in its row's five words, from a = d1..d17 and q = p + 5.
+
+    The integer part ip (the first max(p, 0) digits; d1 alone in e-notation)
+    goes to columns 1-16, right-aligned, the fraction fr to columns 18-34.
+    """
+    unit = _CUT_UNIT[q]
+    ip = a // unit
+    fr = (a - ip * unit) * _CUT_SCALE[q]
+    words = np.empty((a.size, _CELL // 8), "<u8")
+    hi = ip // 10**9
+    mid = (ip - hi * 10**9) // 10
+    words[:, 0] = _digits8(hi)
+    words[:, 1] = _digits8(mid)
+    units = ip - hi * 10**9 - mid * 10
+    hi = fr // 10**11
+    mid = (fr - hi * 10**11) // 1000
+    words[:, 2] = _digits8(hi) | units.astype("<u8")
+    words[:, 3] = _digits8(mid)
+    words[:, 4] = _DIGITS4[fr - hi * 10**11 - mid * 1000] >> 8
+    return words
+
+
+def format_csv_rows(block) -> bytes:
+    """CSV rows of a 2-D float64 block, exactly as repr(float) cells joined by ','
+    with each row ended by CRLF, formatted by array operations.
+
+    Zeros and every x with 1e-6 < |x| < 1e16 whose significand is not a power
+    of two get repr's shortest round-trip digits from _shortest_digits, in
+    IEEE double arithmetic alone; those digits are OR-ed into the cell's
+    template (_cell_templates) and the cells compacted by the templates'
+    nonzero bytes. Any other finite value, and any whose digits hinge on an
+    exact tie, is formatted by repr into the same cells.
+    """
+    block = np.ascontiguousarray(block, dtype=float)
+    x = block.ravel()
+    ax = np.abs(x)
+    fast = (ax > 1e-6) & (ax < 1e16) & (np.frexp(ax)[0] != 0.5)
+    # The other cells get a stand-in, so that no operation sees a value out of range.
+    d, n, g, exact = _shortest_digits(np.where(fast, ax, 1.5))
+    fast &= exact
+    zero = np.flatnonzero(ax == 0.0)
+    d[zero], n[zero], g[zero], fast[zero] = 0, 1, 0, True
+    q = g + 6  # repr's decimal-point position p, plus 5: x = 0.d1..dn * 10**p
+    end_of_row = np.zeros(x.size, np.int64)
+    end_of_row[block.shape[1] - 1 :: block.shape[1]] = 1
+    kind = ((np.signbit(x) * 22 + q) * 17 + n - 1) * 2 + end_of_row
+    words = _digit_words(d * _P10I[17 - n], q)
+    del ax, d, n, g, exact, q  # the working set: only the rows and their templates from here
+    templates = np.take(_TEMPLATES, kind, axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        cells = [f"{v!r}," for v in x[slow].tolist()]
+        for k in np.flatnonzero(end_of_row[slow]).tolist():
+            cells[k] = cells[k][:-1] + "\r\n"
+        templates[slow] = np.frombuffer(np.array(cells, dtype=f"S{_CELL}").tobytes(), "<u8").reshape(-1, _CELL // 8)
+        words[slow] = 0
+    words |= templates
+    return words.view(np.uint8)[templates.view(np.uint8) != 0].tobytes()

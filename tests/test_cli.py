@@ -9,6 +9,7 @@ import json
 import math
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprlock import cli, estimation, kernels, locksim, model
@@ -703,24 +704,50 @@ class TestManifest:
 _WRITE_ROWS = [0, 1, 8191, 8192, 8193, 16383, 16384, 16385, 3 * 8192 + 5]
 
 
+def _one_per_layout():
+    """Cells that together fill every layout kernels.format_csv_rows has for repr's
+    text: each decimal-point position of [1e-6, 1e16) and digit count 1-17, both
+    signs, in the middle and at the end of a row (two columns)."""
+    rng = random.Random(21)
+    values = []
+    for p in range(-5, 17):
+        for n in range(1, 18):
+            while True:
+                x = float("".join(rng.choices("123456789", k=n)) + f"e{p - n}")
+                digits = repr(x).split("e")[0].replace(".", "").strip("0")
+                if len(digits) == n and math.frexp(x)[0] != 0.5:
+                    break
+            values += [x, x, -x, -x]
+    return values
+
+
 class TestWrite:
     @pytest.mark.parametrize(
         "rows, width",
         [
             pytest.param(rows, width, id=str(rows) if width == 3 else f"{width}cols-{rows}")
-            for width in (1, 2, 3, 4, 5)
+            for width in (1, 2, 3, 4, 5, 10)
             for rows in _WRITE_ROWS
         ],
     )
     def test_csv_bytes_match_csv_writer(self, tmp_path, rows, width):
         rng = np.random.default_rng(rows)
-        header = ["t", "special", "wide", "unit", "tiny"][:width]
+        header = ["t", "special", "wide", "unit", "tiny", "pow2", "pow10", "small", "big16", "grid"][:width]
+        twos, tens = 2.0 ** np.arange(-40, 60), np.array([f"1e{k}" for k in range(-7, 17)], dtype=float)
+        sign = np.resize([1.0, -1.0, -1.0], rows)
         columns = [
             list(range(-3, rows - 3)),  # ints are written as floats
             np.resize([-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0], rows),
             rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
             rng.uniform(-1.0, 1.0, rows),
             np.resize([1e-310, -2.5e-308, 123456789.0, 1.0 / 3.0, 1e16, -7.0], rows),
+            # Powers of two and of ten, each with the doubles on either side.
+            sign * np.resize(np.concatenate([twos, np.nextafter(twos, 0), np.nextafter(twos, np.inf)]), rows),
+            sign * np.resize(np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]), rows),
+            sign * rng.uniform(1e-6, 1e-4, rows),  # written as d.ddde-05 or e-06
+            # 16-digit values whose digits, as an integer, reach past 2**53.
+            sign * rng.integers(9_007_200_000_000_000, 10**16, rows) / 10.0 ** rng.integers(1, 22, rows),
+            np.arange(rows) / 2e5,  # lock-sim's time grid
         ][:width]
         path = tmp_path / "table.csv"
         cli._write(path, cli._encode(path.name, (header, columns)))
@@ -731,6 +758,30 @@ class TestWrite:
             for row in zip(*columns):
                 writer.writerow([repr(float(x)) for x in row])
         assert path.read_bytes() == reference.read_bytes()
+
+    @settings(deadline=None, max_examples=400)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e16, 1e16), max_size=48),
+        width=st.integers(1, 4),
+    )
+    @example(values=[5e-324, -2.2250738585072014e-308, 1e-300, -1e-7, 1e-6], width=1)  # |x| <= 1e-6
+    @example(values=[1e16, -1.7976931348623157e308, 1e300, 123456789012345680.0], width=2)  # |x| >= 1e16
+    @example(values=[0.5, -1.0, 2.0**-19, 1024.0, 2.0**52, -(2.0**53)], width=3)  # significand 1
+    @example(values=[73267686754106.12, -891707755721283.2, 734465618292686.8], width=1)  # 16-digit tie
+    @example(values=[1110518093783264.2, -2163026451812660.2], width=2)  # two 17-digit decimals tie
+    @example(values=[999.9999999999999, 1000.0, 1.0000000000000002e-5, 9.999999999999999e-6], width=4)
+    @example(values=[0.0, -0.0, 1.5e-5, -9.99e-5, 0.000125, 1e15 + 0.5, 9999999999999998.0, 1 / 3], width=4)
+    @example(values=_one_per_layout(), width=2)
+    def test_kernel_matches_repr_on_any_finite_doubles(self, values, width):
+        """kernels.format_csv_rows writes each finite double as repr does, under
+        the floating-point checks cli.run sets; the examples are the values it
+        leaves to repr, the exact ties, log10 rounding across a power of ten
+        (999.99..., 1000.0), zeros, e-notation, the 16-digit edge and every
+        cell layout."""
+        block = np.array(values[: len(values) // width * width], dtype=float).reshape(-1, width)
+        expected = ("%r," * (width - 1) + "%r\r\n") * len(block) % tuple(block.ravel().tolist())
+        with np.errstate(all="raise", under="ignore"):
+            assert kernels.format_csv_rows(block) == expected.encode()
 
     @pytest.mark.parametrize(
         "lengths", [(3, 2), (2, 3), (4, 4, 0)], ids=["longer-first", "shorter-first", "empty-last"]
