@@ -39,7 +39,6 @@ from .model import (
 )
 
 DEFAULT_CONFIG: dict = {
-    "frequency_plan": {"lambda_s": 1064e-9, "lambda_i": 852e-9, "lambda_p": 473e-9},
     "cavity": {"gamma_in": 2e6, "gamma_out": 12e6, "mu": 1e6, "delta": 0.0},
     "pump": {"epsilon": 0.8, "phi_p": 0.0},
     "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
@@ -241,10 +240,8 @@ def _write(path: Path, content) -> None:
     header, columns = content
     starts = range(0, len(columns[0]), _CSV_CHUNK)
     half = len(starts) // 2
-    with open(path, "w", newline="") as text:
-        csv.writer(text).writerow(header)
-        text.flush()
-        fh = text.buffer  # the rows are bytes
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         if half == 0:
             _write_rows(fh, columns, starts)
             return

@@ -66,12 +66,11 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     The actuator is a resonant second-order stage (angular resonance
     ``w_res``, damping coefficient ``w_damp = w_res/Q``) with hard
     saturation at +-``act_range``; while saturated the integrator is
-    frozen (anti-windup). Returns residual phase and per-sample
-    saturation flags.
+    frozen (anti-windup). Returns the residual phase and the number of
+    samples at which the actuator was clamped to a rail.
     """
-    n = len(dist)
-    res = np.empty(n)
-    sat = np.zeros(n, np.bool_)
+    res = np.empty(len(dist))
+    saturated = 0
     lpf = 0.0
     integ = 0.0
     y = 0.0
@@ -82,7 +81,7 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     # the arithmetic they carry. The inlined error amp*sin(phi) and command
     # kp*lpf + integ keep their operations and order, so the bits hold;
     # ki*lpf*dt must not become ki*dt first, which rounds differently.
-    out, flags = memoryview(res), memoryview(sat)
+    out = memoryview(res)
     sin = math.sin
     w2 = w_res * w_res
     for k, d in enumerate(memoryview(np.ascontiguousarray(dist, dtype=float))):
@@ -96,16 +95,16 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
         if y > act_range:
             y = act_range
             v = 0.0
-            flags[k] = True
+            saturated += 1
             frozen = True
         elif y < -act_range:
             y = -act_range
             v = 0.0
-            flags[k] = True
+            saturated += 1
             frozen = True
         else:
             frozen = False
-    return res, sat
+    return res, saturated
 
 
 # Samples past the record that ``one_pole_lowpass`` scans at most: it pads
@@ -240,7 +239,10 @@ def _shortest_digits(ax):
 
     Returns (d, n, g, exact): x's shortest round-trip decimal is the n-digit
     integer d times 10**(g - n + 1), g = floor(log10 x). ``exact`` is False
-    where two decimals tie as the nearest, which leaves the choice to repr.
+    where two 16-digit decimals tie as the nearest, which leaves the choice
+    to repr. Where two 17-digit ones tie, d17 is the even one, as repr's is:
+    d17 = p + rint(e), with p >= 1e16 an even double and rint rounding half
+    to even, and repr rounds a tie in its last digit to even.
     repr writes the fewest digits that read back as x, and of those the
     nearest (Steele & White 1990; Gay's dtoa mode 0). x's rounding interval
     is symmetric (x is not a power of two), so the nearest n-digit decimal
@@ -272,8 +274,8 @@ def _shortest_digits(ax):
     d16 = _round_digits(d17, f, 1)
     dist = np.abs((10 * d16 - d17).astype(float) - f)
     short = dist < np.ldexp(c, np.frexp(ax)[1] - 54)
-    # The ties: two 16-digit decimals 5 away, two 17-digit ones 1/2 away.
-    exact = np.where(short, dist != 5.0, np.abs(f) != 0.5)
+    # The tie: two 16-digit decimals 5 away.
+    exact = ~short | (dist != 5.0)
     d = np.where(short, d16, d17)
     n = 17 - short
     # 15 digits by Clinger's fast path (1990): d15 < 2**53 and 10**|m| <= 1e22
@@ -333,8 +335,8 @@ def format_csv_rows(block) -> bytes:
     of two get repr's shortest round-trip digits from _shortest_digits, in
     IEEE double arithmetic alone; those digits are OR-ed into the cell's
     template (_cell_templates) and the cells compacted by the templates'
-    nonzero bytes. Any other finite value, and any whose digits hinge on an
-    exact tie, is formatted by repr into the same cells.
+    nonzero bytes. Any other finite value, and any whose 16 digits hinge on
+    an exact tie, is formatted by repr into the same cells.
     """
     block = np.ascontiguousarray(block, dtype=float)
     x = block.ravel()

@@ -183,9 +183,9 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
     def idler_arm():
         d_i = synth_disturbance(settings.disturbance_i, duration, rate).samples
         d_i += synth_disturbance(settings.disturbance_pump, duration, rate).samples
-        res, sat = _run_arm(settings.loop_i, d_i, rate, amp_i)
+        res, saturated = _run_arm(settings.loop_i, d_i, rate, amp_i)
         res_i[:] = res
-        return int(np.count_nonzero(sat))
+        return saturated
 
     def signal_arm():
         return _run_arm(settings.loop_s, synth_disturbance(settings.disturbance_s, duration, rate).samples, rate, amp_s)
@@ -204,8 +204,7 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
             late = float(np.std(r[3 * n // 4 :]))
             if late > 10.0 * max(early, 1e-12) and late > 1.0:
                 unstable = True
-    saturation_count = int(np.count_nonzero(sat_s)) + sat_i
-    return LockRunResult(TimeSeries(rate, res_s), TimeSeries(rate, res_i), saturation_count, in_lock, unstable)
+    return LockRunResult(TimeSeries(rate, res_s), TimeSeries(rate, res_i), sat_s + sat_i, in_lock, unstable)
 
 
 def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
@@ -448,8 +447,6 @@ class Fig4Settings(RecordSettings):
             raise ValueError(f"epsilons holds {len(self.epsilons)} pump points; the fit needs {MIN_FIT_POINTS}")
         f_lo, f_hi = self.band
         band_bins(welch_frequencies(self.samples, self.rate), f_lo, f_hi)
-        if not (0.0 <= f_lo and f_hi <= self.rate / 2.0):
-            raise ValueError(f"band [{f_lo}, {f_hi}] outside [0, Nyquist={self.rate / 2.0}]")
 
 
 def fig4_point(

@@ -1,4 +1,4 @@
-"""Shared domain types, unit conventions and frequency-plan bookkeeping.
+"""Shared domain types and unit conventions.
 
 Conventions used throughout the package:
 
@@ -162,30 +162,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class FrequencyPlan:
-    """Wavelengths (m) of the signal, idler and pump fields."""
-
-    lambda_s: float
-    lambda_i: float
-    lambda_p: float
-
-    def __post_init__(self):
-        _require_finite_fields(self)
-        for name in ("lambda_s", "lambda_i", "lambda_p"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # Energy conservation 1/ls + 1/li = 1/lp, to 1e-3 relative.
-        lhs = 1.0 / self.lambda_s + 1.0 / self.lambda_i
-        rhs = 1.0 / self.lambda_p
-        rel = abs(lhs - rhs) / rhs
-        if not rel < 1e-3:
-            raise ValueError(
-                f"1/lambda_s + 1/lambda_i = {lhs:.6e} 1/m vs 1/lambda_p = {rhs:.6e} 1/m "
-                f"violates energy conservation (relative mismatch {rel:.3e})"
-            )
-
-
-@dataclass(frozen=True)
 class CavityParams:
     """Decay rates (Hz), detuning (Hz) and derived normalized quantities."""
 
@@ -291,7 +267,6 @@ def complex_to_pair(z: complex) -> list[float]:
 class SystemConfig:
     """Typed view of the JSON configuration blocks shared by all modules."""
 
-    plan: FrequencyPlan
     cavity: CavityParams
     pump: PumpParams
     seed: SeedParams
@@ -301,7 +276,6 @@ class SystemConfig:
 
 # In SystemConfig's field order.
 _BLOCK_TYPES = {
-    "frequency_plan": FrequencyPlan,
     "cavity": CavityParams,
     "pump": PumpParams,
     "seed": SeedParams,

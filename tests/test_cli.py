@@ -247,13 +247,6 @@ class TestExitCodes:
         assert f"detection.{dead} = 0" in err["message"]
         assert not out.exists()
 
-    def test_energy_conservation_violation_is_2(self, tmp_path, capsys):
-        code = cli.main(
-            ["steady-state", "--set", "frequency_plan.lambda_p=500e-9", "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
-        assert "energy conservation" in capsys.readouterr().err
-
 
 _EXIT_2_CASES = [
     ["integrate", "--set", "integrate.dt_over_gamma=1"],
@@ -280,6 +273,7 @@ _EXIT_2_CASES = [
     ["reproduce", "fig4", "--set", "reproduce_fig4.duration=0.05", "--set", "reproduce_fig4.band=[15000, 5000]"],
     ["fit", "--input", "{dataset}", "--set", "fit_settings.n_bootstrap=0"],
     ["reproduce", "fig4", "--set", "reproduce_fig4.n_bootstrap=50"],
+    ["steady-state", "--set", "frequency_plan.lambda_p=500e-9"],
     ["psd", "--input", "{constant_t}"],
     ["calibrate", "--input", "{constant_t}"],
     ["psd", "--input", "{nan_value}"],
@@ -956,6 +950,19 @@ _BLOCK_COMMANDS = {
 }
 
 
+# The blocks only the simulated commands read, and run.rng_seed, which only they use.
+_SIMULATED_BLOCKS = {*_BLOCK_COMMANDS, "run"}
+
+
+def _artifacts(args, out):
+    """The artifacts, but the manifest, that ``args`` writes into ``out``, by
+    name; None if it does not exit 0."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        if cli.main(args + ["--out", str(out)]):
+            return None
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
 class _Reached(Exception):
     """Raised in place of a simulation entry point, with its name and arguments."""
 
@@ -987,8 +994,30 @@ def _as_json(value):
 
 
 class TestConfigContract:
-    def test_default_config_has_66_leaves(self):
-        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 66
+    def test_default_config_has_63_leaves(self):
+        assert len(list(_leaves(cli.DEFAULT_CONFIG))) == 63
+
+    def test_every_leaf_a_fast_command_may_read_reaches_an_artifact(self, tmp_path):
+        """Raising any leaf outside the simulated blocks by 1% (a zero to 0.013)
+        changes the artifacts of at least one fast command that still exits 0:
+        no such key is read by nothing."""
+        base = [_artifacts(command, tmp_path / f"base{k}") for k, command in enumerate(_FAST_COMMANDS)]
+        unread = []
+        for leaf in _leaves(cli.DEFAULT_CONFIG):
+            if leaf.split(".")[0] in _SIMULATED_BLOCKS:
+                continue
+            value = cli.DEFAULT_CONFIG
+            for key in leaf.split("."):
+                value = value[key]
+            value = math.ceil(1.01 * value) if isinstance(value, int) else 1.01 * value or 0.013
+            override = ["--set", f"{leaf}={json.dumps(value)}"]
+            changed = (
+                _artifacts(command + override, tmp_path / leaf / str(k)) not in (None, before)
+                for k, (command, before) in enumerate(zip(_FAST_COMMANDS, base))
+            )
+            if not any(changed):
+                unread.append(leaf)
+        assert unread == []
 
     @settings(deadline=None, max_examples=120)
     @given(

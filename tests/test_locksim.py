@@ -184,9 +184,8 @@ class TestSynthThetaProcess:
 def _reference_servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     """kernels.servo_loop one named step at a time, storing numpy scalars; the
     kernel must keep these bits."""
-    n = len(dist)
-    res = np.empty(n)
-    sat = np.zeros(n, np.bool_)
+    res = np.empty(len(dist))
+    saturated = 0
     lpf = 0.0
     integ = 0.0
     y = 0.0
@@ -205,16 +204,16 @@ def _reference_servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_r
         if y > act_range:
             y = act_range
             v = 0.0
-            sat[k] = True
+            saturated += 1
             frozen = True
         elif y < -act_range:
             y = -act_range
             v = 0.0
-            sat[k] = True
+            saturated += 1
             frozen = True
         else:
             frozen = False
-    return res, sat
+    return res, saturated
 
 
 def _ramped_disturbance(n, dt, ramp, line_amp, line_hz, walk, seed):
@@ -262,18 +261,20 @@ class TestServoLoop:
     @example(**{**_BOTH_RAILS, "line_amp": 0.0, "ramp": 400.0, "walk": 1.0})
     @example(**{**_BOTH_RAILS, "line_amp": 0.0, "ramp": -400.0, "act_range": 1e-3})
     def test_bits_match_the_stepwise_form(self, **inputs):
-        _, (res, sat), (ref_res, ref_sat) = self._both(**inputs)
+        _, (res, saturated), (ref_res, ref_saturated) = self._both(**inputs)
         assert res.tobytes() == ref_res.tobytes()
-        np.testing.assert_array_equal(sat, ref_sat)
+        assert type(saturated) is int
+        assert saturated == ref_saturated
 
     def test_the_both_rails_example_saturates_on_both_rails(self):
-        """The first explicit example reaches +act_range and -act_range: after
-        a saturated step the actuator sits on a rail, so d - phi at the next
-        sample has that rail's sign."""
-        dist, (res, sat), _ = self._both(**_BOTH_RAILS)
-        after = np.flatnonzero(sat[:-1]) + 1
-        rails = np.sign(dist[after] - res[after])
-        assert set(rails.tolist()) == {-1.0, 1.0}
+        """The first explicit example reaches +act_range and -act_range: the
+        residual phi = d - y gives the actuator position y of the step before,
+        up to the rounding of d - phi, and it sits on each rail."""
+        dist, (res, saturated), _ = self._both(**_BOTH_RAILS)
+        y = dist - res
+        act_range = _BOTH_RAILS["act_range"]
+        assert saturated > 0
+        assert (y.max(), y.min()) == pytest.approx((act_range, -act_range), rel=0.0, abs=1e-12)
 
 
 def _one_pole_reference(x, alpha):
@@ -472,62 +473,6 @@ def _reference_synth_theta_process(sigma, cutoff, duration, rate, rng_seed):
     return locksim.TimeSeries(sample_rate=rate, samples=x)
 
 
-def _reference_synth_epr_photocurrents(epsilon, eta_s, eta_i, gamma, theta, duration, rate, rng_seed, dark_noise=False):
-    """synth_epr_photocurrents before it drew into record buffers."""
-    n = locksim._sample_count(duration, rate)
-    rng = np.random.default_rng(rng_seed)
-    m = n // 2 + 1
-    real_bins = [0, m - 1] if n % 2 == 0 else [0]
-
-    def gain_for(sign):
-        omega = np.fft.rfftfreq(n, d=1.0 / rate) / gamma
-        return np.sqrt(spectra.two_mode_variance(epsilon, 1.0, omega, sign) * (n / 2.0))
-
-    def record(gain, out=None):
-        spectrum = rng.standard_normal(2 * m).view(complex)
-        spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
-        spectrum *= gain
-        return np.fft.irfft(spectrum, n, out=out)
-
-    q_minus = record(gain_for("minus"))
-    plus_gain = gain_for("plus")
-    q_plus = record(plus_gain)
-    if theta is not None:
-        cos = np.cos(theta.samples)
-        q_minus *= cos
-        q_plus *= cos
-        del cos
-        orth = record(plus_gain)
-        del plus_gain
-        orth *= np.sin(theta.samples)
-        q_minus += orth
-        record(gain_for("minus"), out=orth)
-        orth *= np.sin(theta.samples)
-        q_plus += orth
-        del orth
-
-    q_s = np.add(q_plus, q_minus)
-    q_i = np.subtract(q_plus, q_minus, out=q_minus)
-    spare = q_plus
-    q_s /= math.sqrt(2.0)
-    q_i /= math.sqrt(2.0)
-
-    def add_noise(q, scale):
-        noise = rng.standard_normal(n, out=spare)
-        noise *= scale
-        q += noise
-
-    q_s *= math.sqrt(eta_s)
-    add_noise(q_s, math.sqrt(1.0 - eta_s))
-    q_i *= math.sqrt(eta_i)
-    add_noise(q_i, math.sqrt(1.0 - eta_i))
-    if dark_noise:
-        dark = 10.0 ** (-locksim.DARK_NOISE_CLEARANCE_DB / 20.0)
-        add_noise(q_s, dark)
-        add_noise(q_i, dark)
-    return locksim.TimeSeries(sample_rate=rate, samples=q_s), locksim.TimeSeries(sample_rate=rate, samples=q_i)
-
-
 def _reference_shot_noise_reference(duration, rate, rng_seed):
     """shot_noise_reference before it drew into record buffers."""
     n = locksim._sample_count(duration, rate)
@@ -537,7 +482,7 @@ def _reference_shot_noise_reference(duration, rate, rng_seed):
 def _reference_fig4_point(epsilon, detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi, rng_seed):
     """fig4_point before it drew into record buffers."""
     g = detection.idler_weight
-    q_s, q_i = _reference_synth_epr_photocurrents(
+    q_s, q_i = _reference_synth_epr(
         epsilon,
         detection.eta_s,
         detection.eta_i,
@@ -548,7 +493,6 @@ def _reference_fig4_point(epsilon, detection, gamma, sigma_theta, theta_cutoff, 
         rng_seed,
     )
     shot_power = locksim.band_power(_reference_shot_noise_reference(duration, rate, rng_seed + 2), f_lo, f_hi)
-    q_s, q_i = q_s.samples, q_i.samples
     q_i *= g
     norm = math.hypot(1.0, g)
     vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
@@ -613,8 +557,8 @@ class TestRecordBuffers:
             ref_theta = None if theta is None else locksim.TimeSeries(self.RATE, theta.samples.copy())
             args = (epsilon, eta_s, eta_i, 15e6)
             got = locksim.synth_epr_photocurrents(*args, theta, self.RATE, seed, dark_noise=dark_noise, buffers=buffers)
-            ref = _reference_synth_epr_photocurrents(*args, ref_theta, duration, self.RATE, seed, dark_noise)
-            _same_records(got, ref)
+            ref = _reference_synth_epr(*args, ref_theta, duration, self.RATE, seed, dark_noise)
+            _same_records(got, [locksim.TimeSeries(self.RATE, q) for q in ref])
             if theta_from == "caller":
                 np.testing.assert_array_equal(theta.samples, ref_theta.samples)  # a caller's theta is not spent
 
@@ -648,15 +592,15 @@ class TestRecordBuffers:
         if sigma > 0:
             theta = _reference_synth_theta_process(sigma, block["theta_cutoff"], duration, rate, seed + 1)
         detection = sys_cfg.detection
-        q_s, q_i = _reference_synth_epr_photocurrents(
+        q_s, q_i = _reference_synth_epr(
             sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, sys_cfg.cavity.gamma_total, theta, duration, rate,
             seed, block["dark_noise"],
         )
         shot = _reference_shot_noise_reference(duration, rate, seed + 2)
         currents = np.loadtxt(tmp_path / "photocurrents.csv", delimiter=",", skiprows=1)
         written = np.loadtxt(tmp_path / "shot_reference.csv", delimiter=",", skiprows=1)
-        for column, ref in ((currents[:, 1], q_s), (currents[:, 2], q_i), (written[:, 1], shot)):
-            assert column.tobytes() == ref.samples.tobytes()
+        for column, ref in ((currents[:, 1], q_s), (currents[:, 2], q_i), (written[:, 1], shot.samples)):
+            assert column.tobytes() == ref.tobytes()
 
     def test_second_point_allocates_less_than_a_record(self):
         """At the default 1M samples, a point drawn into a set that an earlier

@@ -13,7 +13,6 @@ from eprlock.model import (
     CavityParams,
     ConfigError,
     DetectionParams,
-    FrequencyPlan,
     NumericalError,
     PhaseNoiseSpec,
     PhysicsDomainError,
@@ -60,20 +59,6 @@ class TestDb:
             db(0.0)
         with pytest.raises(PhysicsDomainError):
             db(-1.0)
-
-
-class TestFrequencyPlan:
-    def test_energy_conserving_plan_constructs(self):
-        plan = FrequencyPlan(lambda_s=1064e-9, lambda_i=852e-9, lambda_p=473e-9)
-        assert plan.lambda_p == 473e-9
-
-    def test_violating_plan_is_refused(self):
-        with pytest.raises(ValueError, match="energy conservation.*relative mismatch"):
-            FrequencyPlan(lambda_s=1064e-9, lambda_i=1064e-9, lambda_p=473e-9)
-
-    def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            FrequencyPlan(lambda_s=0.0, lambda_i=852e-9, lambda_p=473e-9)
 
 
 class TestCavityParams:
@@ -160,7 +145,6 @@ class TestNonFiniteFieldsRejected:
             (SeedParams, {"alpha_cl": math.nan}),
             (DetectionParams, {"eta_s": 0.9, "eta_i": math.nan}),
             (PhaseNoiseSpec, {"sigma_theta": math.inf}),
-            (FrequencyPlan, {"lambda_s": 1e-6, "lambda_i": 1e-6, "lambda_p": math.nan}),
         ],
     )
     def test_nan_and_inf_rejected(self, cls, kwargs):
@@ -177,7 +161,6 @@ class TestNonFiniteFieldsRejected:
 
 def _valid_raw():
     return {
-        "frequency_plan": {"lambda_s": 1064e-9, "lambda_i": 852e-9, "lambda_p": 473e-9},
         "cavity": {"gamma_in": 2e6, "gamma_out": 12e6, "mu": 1e6, "delta": 0.0},
         "pump": {"epsilon": 0.8, "phi_p": 0.0},
         "seed": {"alpha_cl": 1.0, "seed_phase": 0.0},
