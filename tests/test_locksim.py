@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eprlock.model import MAX_SAMPLES, ConfigError, DetectionParams, PhysicsDomainError, config_from_dict
 from eprlock.nopo import LockFieldState
-from eprlock import cli, estimation, kernels, locksim, spectra
+from eprlock import cli, estimation, kernels, locksim, model, spectra
 
 
 class TestTimeSeries:
@@ -136,6 +136,32 @@ class TestRunClosedLoop:
         )
         assert result.saturation_count >= 1
         assert result.in_lock_fraction < 1.0
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    def test_saturation_count_sums_both_arms(self, cpus, monkeypatch):
+        """The idler arm's count, returned from the forked worker or inline,
+        adds to the signal arm's: each arm's servo_loop count, run on its own."""
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        quiet = locksim.DisturbanceSpec()
+        ramp_s, ramp_p = locksim.DisturbanceSpec(ramp_rate=15.0), locksim.DisturbanceSpec(ramp_rate=-25.0)
+        loop_s, loop_i = _quiet_loop(actuator_range=20.0), _quiet_loop(actuator_range=10.0)
+        settings = locksim.LockSettings(loop_s, loop_i, ramp_s, quiet, ramp_p, 2.0, 2e5)
+        result = locksim.run_closed_loop(settings, FIELDS)
+        arms = [
+            kernels.servo_loop(
+                locksim.synth_disturbance(spec, 2.0, 2e5).samples, 1.0 / 2e5, amp, loop.kp, loop.ki,
+                1.0 - math.exp(-2.0 * math.pi * loop.lpf_cutoff * (1.0 / 2e5)),
+                2.0 * math.pi * loop.actuator_resonance,
+                2.0 * math.pi * loop.actuator_resonance / loop.actuator_q, loop.actuator_range,
+            )
+            for spec, loop, amp in ((ramp_s, loop_s, abs(FIELDS.a_cls)), (ramp_p, loop_i, abs(FIELDS.a_cli)))
+        ]
+        (res_s, sat_s), (res_i, sat_i) = arms
+        assert 0 < sat_s != sat_i > 0
+        assert type(result.saturation_count) is int
+        assert result.saturation_count == sat_s + sat_i
+        assert result.residual_theta_s.samples.tobytes() == res_s.tobytes()
+        assert result.residual_theta_i.samples.tobytes() == res_i.tobytes()
 
     def test_sample_rate_guard(self):
         quiet = locksim.DisturbanceSpec()
@@ -617,6 +643,20 @@ class TestRecordBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n
+
+
+class TestFig4Settings:
+    """band_bins over the records' Welch grid is the band's only check: it
+    takes [0, Nyquist] and refuses a band reaching past either end."""
+
+    def test_band_from_zero_to_nyquist_is_accepted(self):
+        settings = _fig4_settings(DetectionParams(0.89, 0.89), 15e6, 0.0, 200.0, 0.05, 2e5, 0.0, 1e5)
+        assert settings.band == (0.0, 1e5)
+
+    @pytest.mark.parametrize("band", [(-1.0, 1.5e4), (5e3, 1e5 + 1.0)], ids=["below-zero", "past-nyquist"])
+    def test_band_outside_zero_to_nyquist_is_refused(self, band):
+        with pytest.raises(ValueError, match="outside estimate range"):
+            _fig4_settings(DetectionParams(0.89, 0.89), 15e6, 0.0, 200.0, 0.05, 2e5, *band)
 
 
 class TestSampleBudget:
