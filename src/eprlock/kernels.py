@@ -53,32 +53,41 @@ def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     differently from the Python scalar product.
     """
     decay = dt * -(gamma - 1j * delta)
-    ha = (decay, dt * complex(g), dt * complex(g.conjugate()), decay)
-    ha2 = _matmul2(ha, ha)
-    ha3 = _matmul2(ha2, ha)
-    ha4 = _matmul2(ha2, ha2)
-    c6, c24 = 1.0 / 6.0, 1.0 / 24.0
-    eye = (1.0, 0.0, 0.0, 1.0)
-    p = tuple(e + h + h2 * 0.5 + h3 * c6 + h4 * c24 for e, h, h2, h3, h4 in zip(eye, ha, ha2, ha3, ha4))
-    # Column 0 of I + hA/2 + (hA)^2/6 + (hA)^3/24: entries 0 and 2.
-    col = [e + h * 0.5 + h2 * c6 + h3 * c24 for e, h, h2, h3 in zip(eye[::2], ha[::2], ha2[::2], ha3[::2])]
+    # hA, (hA)^2, (hA)^3 and (hA)^4 as h, u, v and w.
+    h00, h01, h10, h11 = ha = (decay, dt * complex(g), dt * complex(g.conjugate()), decay)
+    u00, u01, u10, u11 = ha2 = _matmul2(ha, ha)
+    v00, v01, v10, v11 = _matmul2(ha2, ha)
+    w00, w01, w10, w11 = _matmul2(ha2, ha2)
+    r6, r24 = 1.0 / 6.0, 1.0 / 24.0
+    p = (
+        1.0 + h00 + u00 * 0.5 + v00 * r6 + w00 * r24,
+        0.0 + h01 + u01 * 0.5 + v01 * r6 + w01 * r24,
+        0.0 + h10 + u10 * 0.5 + v10 * r6 + w10 * r24,
+        1.0 + h11 + u11 * 0.5 + v11 * r6 + w11 * r24,
+    )
+    # Column 0 of I + hA/2 + (hA)^2/6 + (hA)^3/24, times h * drive.
+    col = [1.0 + h00 * 0.5 + u00 * r6 + v00 * r24, 0.0 + h10 * 0.5 + u10 * r6 + v10 * r24]
     q0, q1 = (dt * drive * np.array(col)).tolist()
-    p00, p01, p10, p11 = p
     n = n_steps + 1
     alpha_s = np.empty(n, np.complex128)
     alpha_c = np.empty(n, np.complex128)  # alpha_i^*
     alpha_s[0] = a_s0
     alpha_c[0] = np.conj(a_i0)
+    tmp = np.empty(n // 2, np.complex128)
     m = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while m < n:
             k = min(m, n - m)
-            s, c = alpha_s[:k], alpha_c[:k]
-            alpha_s[m : m + k] = p00 * s + p01 * c + q0
-            alpha_c[m : m + k] = p10 * s + p11 * c + q1
-            # P q as _matmul2 sums it, from +0, then + q.
+            p00, p01, p10, p11 = p
+            s, c, t = alpha_s[:k], alpha_c[:k], tmp[:k]
+            # x[m:m+k] = P x[:k] + q, row by row in place: p s + p' c + q.
+            for out, pa, pb, qa in ((alpha_s[m : m + k], p00, p01, q0), (alpha_c[m : m + k], p10, p11, q1)):
+                np.multiply(pa, s, out=out)
+                out += np.multiply(pb, c, out=t)
+                out += qa
+            # P q summed from +0, as _matmul2 sums, then + q.
             q0, q1 = 0j + p00 * q0 + p01 * q1 + q0, 0j + p10 * q0 + p11 * q1 + q1
-            p00, p01, p10, p11 = p = _matmul2(p, p)
+            p = _matmul2(p, p)
             m *= 2
         alpha_i = alpha_c.conj()
         bad = ~((np.abs(alpha_s[1:]) <= limit) & (np.abs(alpha_i[1:]) <= limit))
