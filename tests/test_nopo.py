@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprlock import kernels
@@ -197,6 +197,35 @@ class TestIntegrateDynamics:
         assert traj.times[-1] == pytest.approx(1.0)
 
 
+class TestOracleAgreement:
+    """The three steady-state computations over random parameters."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        epsilon=st.floats(0.0, 0.95),
+        delta_norm=st.floats(-3.0, 3.0),
+        gamma_in=st.floats(0.1, 1.0),
+        gamma_out=st.floats(0.1, 1.0),
+        phi_p=st.floats(-math.pi, math.pi),
+        seed_phase=st.floats(-math.pi, math.pi),
+    )
+    def test_linear_solve_closed_form_and_rk4_agree(self, epsilon, delta_norm, gamma_in, gamma_out, phi_p, seed_phase):
+        gamma = gamma_in + gamma_out
+        cavity = CavityParams(gamma_in=gamma_in, gamma_out=gamma_out, delta=delta_norm * gamma)
+        pump = PumpParams(epsilon=epsilon, phi_p=phi_p)
+        seed = SeedParams(alpha_cl=1.0, seed_phase=seed_phase)
+        lin = nopo.steady_state_linear_solve(cavity, pump, seed)
+        closed = nopo.steady_state_closed_form(cavity, pump, seed)
+        # From rest, so that RK4 is seeded by neither solver; the slowest mode
+        # decays as exp(-gamma (1 - epsilon) t), by e^-30 over t_end.
+        traj = nopo.integrate_dynamics(cavity, pump, seed, t_end=30.0 / (gamma * (1.0 - epsilon)), dt=0.05 / gamma)
+        rk4 = nopo.output_fields(cavity, traj)
+        scale = max(abs(lin.a_cls), abs(lin.a_cli))
+        for a, b in ((lin, closed), (lin, rk4), (closed, rk4)):
+            assert abs(a.a_cls - b.a_cls) <= 1e-6 * scale
+            assert abs(a.a_cli - b.a_cli) <= 1e-6 * scale
+
+
 class TestThresholdGuards:
     def test_steady_state_rejects_at_threshold(self):
         for fn in (nopo.steady_state_linear_solve, nopo.steady_state_closed_form):
@@ -238,41 +267,118 @@ def _reference_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     return alpha_s, alpha_i, -1
 
 
+def _reference_doubling_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
+    """The doubling kernel with its 2x2 algebra as numpy einsum calls, the
+    scalar kernel's bit-for-bit reference."""
+    ha = dt * np.array([[-(gamma - 1j * delta), g], [np.conj(g), -(gamma - 1j * delta)]])
+    ha2 = np.einsum("ij,jk", ha, ha)
+    ha3 = np.einsum("ij,jk", ha2, ha)
+    eye = np.eye(2)
+    p = eye + ha + ha2 / 2.0 + ha3 / 6.0 + np.einsum("ij,jk", ha2, ha2) / 24.0
+    q = dt * drive * (eye + ha / 2.0 + ha2 / 6.0 + ha3 / 24.0)[:, 0]
+    n = n_steps + 1
+    alpha_s = np.empty(n, np.complex128)
+    alpha_c = np.empty(n, np.complex128)  # alpha_i^*
+    alpha_s[0] = a_s0
+    alpha_c[0] = np.conj(a_i0)
+    m = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < n:
+            k = min(m, n - m)
+            (p00, p01), (p10, p11) = p.tolist()
+            s, c = alpha_s[:k], alpha_c[:k]
+            alpha_s[m : m + k] = p00 * s + p01 * c + q[0]
+            alpha_c[m : m + k] = p10 * s + p11 * c + q[1]
+            q = np.einsum("ij,j", p, q) + q
+            p = np.einsum("ij,jk", p, p)
+            m *= 2
+        alpha_i = alpha_c.conj()
+        bad = ~((np.abs(alpha_s[1:]) <= limit) & (np.abs(alpha_i[1:]) <= limit))
+    hits = np.flatnonzero(bad)
+    diverged = int(hits[0]) + 1 if hits.size else -1
+    return alpha_s, alpha_i, diverged
+
+
+def _assert_bits_match(args):
+    got = kernels.cavity_rk4(*args)
+    ref = _reference_doubling_rk4(*args)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2] == ref[2]
+
+
 def _max_rel_gap(got, ref, upto):
     scale = max(np.max(np.abs(ref[0][:upto])), np.max(np.abs(ref[1][:upto])))
     return max(np.max(np.abs(got[i][:upto] - ref[i][:upto])) for i in (0, 1)) / scale
+
+
+# Kernel arguments drawn as (epsilon, delta/gamma, pump phase, seed phase,
+# dt*gamma, n_steps, start), at gamma = 2.
+_KERNEL_DRAWS = dict(
+    epsilon=st.floats(0.0, 0.99),
+    delta_norm=st.floats(-3.0, 3.0),
+    phi_p=st.floats(-math.pi, math.pi),
+    seed_phase=st.floats(-math.pi, math.pi),
+    dt_gamma=st.floats(1e-3, 0.1),
+    n_steps=st.integers(1, 5000),
+    start=st.sampled_from([(0j, 0j), (0.3 - 0.2j, -0.1 + 0.4j)]),
+)
+
+_BOUNDARY_DRAW = dict(
+    epsilon=0.9, delta_norm=-1.0, phi_p=2.0, seed_phase=1.0, dt_gamma=0.02, start=(0.3 - 0.2j, -0.1 + 0.4j)
+)
+
+
+def _kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
+    gamma = 2.0
+    return (
+        *start,
+        epsilon * gamma * cmath.exp(1j * phi_p),
+        gamma,
+        delta_norm * gamma,
+        math.sqrt(2.0) * cmath.exp(1j * seed_phase),
+        dt_gamma / gamma,
+        n_steps,
+        1e6,
+    )
 
 
 class TestCavityRk4Kernel:
     """The doubling kernel against the per-step loop it replaces."""
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        epsilon=st.floats(0.0, 0.99),
-        delta_norm=st.floats(-3.0, 3.0),
-        phi_p=st.floats(-math.pi, math.pi),
-        seed_phase=st.floats(-math.pi, math.pi),
-        dt_gamma=st.floats(1e-3, 0.1),
-        n_steps=st.integers(1, 5000),
-        start=st.sampled_from([(0j, 0j), (0.3 - 0.2j, -0.1 + 0.4j)]),
-    )
+    @given(**_KERNEL_DRAWS)
+    # The doubling's boundaries: one level, a partial last level, and either
+    # side of a power of two.
+    @example(**_BOUNDARY_DRAW, n_steps=1)
+    @example(**_BOUNDARY_DRAW, n_steps=2)
+    @example(**_BOUNDARY_DRAW, n_steps=3)
+    @example(**_BOUNDARY_DRAW, n_steps=2047)
+    @example(**_BOUNDARY_DRAW, n_steps=2048)
+    @example(**_BOUNDARY_DRAW, n_steps=2049)
     def test_matches_per_step_loop(self, epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
-        gamma = 2.0
-        args = (
-            *start,
-            epsilon * gamma * cmath.exp(1j * phi_p),
-            gamma,
-            delta_norm * gamma,
-            math.sqrt(2.0) * cmath.exp(1j * seed_phase),
-            dt_gamma / gamma,
-            n_steps,
-            1e6,
-        )
+        args = _kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start)
         got = kernels.cavity_rk4(*args)
         ref = _reference_rk4(*args)
         assert got[0].shape == got[1].shape == (n_steps + 1,)
         assert got[2] == ref[2] == -1
         assert _max_rel_gap(got, ref, n_steps + 1) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(**{**_KERNEL_DRAWS, "epsilon": st.floats(0.0, 1.5)})
+    def test_bits_match_the_einsum_kernel(self, epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
+        # Up to epsilon = 1.5, so that divergence indices are drawn too.
+        _assert_bits_match(_kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start))
+
+    @pytest.mark.parametrize("drive", [0j, 1.0])
+    @pytest.mark.parametrize("phi_p", [0.0, math.pi / 2, math.pi])
+    def test_signed_zeros_match_the_einsum_kernel(self, phi_p, drive):
+        # Unit or zero inputs leave exact zeros in P, q and the trajectory
+        # (a zero drive makes the whole trajectory zero), and the bytes
+        # compare their signs too.
+        for epsilon in (0.0, 0.5, 0.9):
+            for delta in (0.0, -0.0, 0.7, -0.7):
+                _assert_bits_match((0j, 0j, epsilon * cmath.exp(1j * phi_p), 1.0, delta, drive, 0.05, 300, 1e6))
 
     def test_defective_step_map(self):
         # |g| = |delta|: the drift matrix (and so the step map) is not diagonalizable.
@@ -281,6 +387,7 @@ class TestCavityRk4Kernel:
         ref = _reference_rk4(*args)
         assert got[2] == ref[2] == -1
         assert _max_rel_gap(got, ref, 3001) <= 1e-12
+        _assert_bits_match(args)
 
     @pytest.mark.parametrize("epsilon", [1.2, 1.5, 3.0])
     def test_above_threshold_first_exceedance(self, epsilon):
@@ -290,6 +397,7 @@ class TestCavityRk4Kernel:
         assert ref[2] > 0
         assert got[2] == ref[2]
         assert _max_rel_gap(got, ref, ref[2] + 1) <= 1e-12
+        _assert_bits_match(args)
 
     def test_overflow_raises_no_warning(self):
         # Long enough above threshold that the tail overflows to inf/nan.
