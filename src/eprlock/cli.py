@@ -278,6 +278,12 @@ def _sample_rate(t: np.ndarray) -> float:
     return 1.0 / float(np.mean(steps))
 
 
+def _rms_about_lock_point(theta: np.ndarray) -> float:
+    """sqrt(mean(theta^2)): the residual's RMS about theta = 0, where np.std
+    would hide a loop that holds the wrong fringe."""
+    return float(np.sqrt(np.mean(np.square(theta))))
+
+
 def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
     if path is None:
         raise ConfigError("this subcommand requires --input <csv file>")
@@ -381,7 +387,7 @@ def _cmd_lock_sim(cfg, sys_cfg, input_path):
     theta_s, theta_i = result.residual_theta_s, result.residual_theta_i
     common = result.common_mode_theta.samples
     summary = {
-        "sigma_theta_rms": float(np.std(common)),
+        "sigma_theta_rms": _rms_about_lock_point(common),
         "in_lock_fraction": result.in_lock_fraction,
         "saturation_count": result.saturation_count,
         "unstable": result.unstable,
@@ -459,7 +465,7 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
         "s_pp": s_pp,
         "beta": beta,
         "sigma_theta": estimation.integrate_psd(psd, psd.frequencies[1], psd.frequencies[-1]),
-        "sigma_theta_time_domain": float(np.std(common.samples)),
+        "sigma_theta_time_domain": _rms_about_lock_point(common.samples),
         "in_lock_fraction": result.in_lock_fraction,
     }
     return {

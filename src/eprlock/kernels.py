@@ -31,7 +31,9 @@ def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     on the two modes. Returns the trajectories (``n_steps + 1`` samples)
     and the first step index at which |alpha| exceeded ``limit`` or
     stopped being finite (-1 if it never did; entries past it are then
-    meaningless and must be truncated by the caller).
+    meaningless and must be truncated by the caller). The scan for that
+    index first bounds the real and imaginary parts; only a trajectory
+    that fails the bound gets the exact |alpha| scan.
 
     The equations are complex-linear in x = (alpha_s, alpha_i^*):
     x' = A x + b with A = [[-(gamma - i delta), g], [g^*, -(gamma - i delta)]]
@@ -69,8 +71,9 @@ def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     col = [1.0 + h00 * 0.5 + u00 * r6 + v00 * r24, 0.0 + h10 * 0.5 + u10 * r6 + v10 * r24]
     q0, q1 = (dt * drive * np.array(col)).tolist()
     n = n_steps + 1
-    alpha_s = np.empty(n, np.complex128)
-    alpha_c = np.empty(n, np.complex128)  # alpha_i^*
+    # One buffer holds both rows, so that one reduction bounds them both.
+    rows = np.empty((2, n), np.complex128)
+    alpha_s, alpha_c = rows  # alpha_c is alpha_i^*
     alpha_s[0] = a_s0
     alpha_c[0] = np.conj(a_i0)
     tmp = np.empty(n // 2, np.complex128)
@@ -90,6 +93,13 @@ def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
             p = _matmul2(p, p)
             m *= 2
         alpha_i = alpha_c.conj()
+        # Real and imaginary parts all within limit/2 put every |alpha|
+        # within limit/sqrt(2), with no hypot. NaN, inf or a larger part
+        # fails the bound and falls through to the exact scan.
+        half = 0.5 * limit
+        parts = rows.view(np.float64)[:, 2:]
+        if n > 1 and -half <= parts.min() and parts.max() <= half:
+            return alpha_s, alpha_i, -1
         bad = ~((np.abs(alpha_s[1:]) <= limit) & (np.abs(alpha_i[1:]) <= limit))
     hits = np.flatnonzero(bad)
     diverged = int(hits[0]) + 1 if hits.size else -1

@@ -59,17 +59,21 @@ class LockFieldState:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled intracavity amplitudes."""
+    """Intracavity amplitudes sampled every ``dt`` seconds from t = 0."""
 
-    times: np.ndarray
+    dt: float
     alpha_s: np.ndarray
     alpha_i: np.ndarray
 
     def __post_init__(self):
-        if not (len(self.times) == len(self.alpha_s) == len(self.alpha_i)):
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if len(self.alpha_s) != len(self.alpha_i):
             raise ValueError("trajectory arrays must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.alpha_s)) * self.dt
 
 
 def _coupling(cavity: CavityParams, pump: PumpParams) -> complex:
@@ -220,8 +224,7 @@ def integrate_dynamics(
             f"trajectory diverged at t = {diverged * dt:.3e} s: the step dt = {dt:.3e} s is past "
             "RK4's stability limit; lower integrate.dt_over_gamma"
         )
-    times = np.arange(n_steps + 1) * dt
-    return Trajectory(times=times, alpha_s=alpha_s, alpha_i=alpha_i)
+    return Trajectory(dt=dt, alpha_s=alpha_s, alpha_i=alpha_i)
 
 
 def output_fields(cavity: CavityParams, trajectory: Trajectory) -> LockFieldState:

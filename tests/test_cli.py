@@ -402,6 +402,14 @@ class TestIntegrateCommand:
         tail = data[-5:, 1]
         assert np.ptp(tail) < 1e-2 * abs(tail[-1])
 
+    def test_time_column_is_the_sample_index_times_the_step(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["integrate", "--out", str(out)]) == 0
+        _, data = _read_csv(out / "trajectory.csv")
+        cfg = cli.load_config(None, [])
+        dt = cfg["integrate"]["dt_over_gamma"] / model.config_from_dict(cfg).cavity.gamma_total
+        assert data[:, 0].tobytes() == (np.arange(len(data)) * dt).tobytes()
+
 
 class TestSpectraCommands:
     def test_spectra_scan(self, tmp_path):
@@ -531,6 +539,17 @@ class TestLockSimCommand:
         header, data = _read_csv(out / "lock_traces.csv")
         assert header == ["t", "theta_s", "theta_i", "theta_common"]
         np.testing.assert_allclose(data[:, 3], 0.5 * (data[:, 1] + data[:, 2]), atol=1e-15)
+        # The RMS about the lock point, which differs from np.std by 2e-5 here.
+        assert summary["sigma_theta_rms"] == pytest.approx(math.sqrt(np.mean(data[:, 3] ** 2)), rel=1e-12)
+
+    def test_a_loop_on_the_wrong_fringe_reads_its_offset(self, tmp_path):
+        """A sign-inverted signal loop locks half a fringe away: the common
+        mode sits near pi/2, which np.std would have hidden (it read 48 mrad)."""
+        out = tmp_path / "run"
+        inverted = ["--set", "lock_sim.loop_s.kp=-0.01", "--set", "lock_sim.loop_s.ki=-5e3"]
+        assert cli.main(["lock-sim", "--out", str(out), "--set", "lock_sim.duration=0.5", *inverted]) == 0
+        summary = _read_json(out / "lock_summary.json")
+        assert summary["sigma_theta_rms"] == pytest.approx(math.pi / 2, rel=0.02)
 
 
 class TestReproduceFig3Command:

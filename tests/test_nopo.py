@@ -197,6 +197,27 @@ class TestIntegrateDynamics:
         assert traj.times[-1] == pytest.approx(1.0)
 
 
+class TestTrajectory:
+    """A trajectory holds its step; the sample times are derived from it."""
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_refuses_a_step_that_is_not_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            nopo.Trajectory(dt=dt, alpha_s=np.zeros(3, complex), alpha_i=np.zeros(3, complex))
+
+    def test_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            nopo.Trajectory(dt=0.1, alpha_s=np.zeros(3, complex), alpha_i=np.zeros(4, complex))
+
+    def test_times_are_the_sample_index_times_the_step(self):
+        dt = 0.05 / 3.0
+        traj = nopo.integrate_dynamics(
+            _symmetric_cavity(), PumpParams(epsilon=0.5), SeedParams(alpha_cl=1.0), t_end=1.0, dt=dt
+        )
+        assert traj.dt == dt
+        assert traj.times.tobytes() == (np.arange(traj.alpha_s.size) * dt).tobytes()
+
+
 class TestOracleAgreement:
     """The three steady-state computations over random parameters."""
 
@@ -299,6 +320,12 @@ def _reference_doubling_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, lim
     return alpha_s, alpha_i, diverged
 
 
+def _peak_amplitude(args):
+    """The largest |alpha| over steps 1..n of the reference trajectory, with no limit."""
+    alpha_s, alpha_i, _ = _reference_doubling_rk4(*args[:-1], math.inf)
+    return max(np.max(np.abs(alpha_s[1:])), np.max(np.abs(alpha_i[1:])))
+
+
 def _assert_bits_match(args):
     got = kernels.cavity_rk4(*args)
     ref = _reference_doubling_rk4(*args)
@@ -327,6 +354,16 @@ _KERNEL_DRAWS = dict(
 _BOUNDARY_DRAW = dict(
     epsilon=0.9, delta_norm=-1.0, phi_p=2.0, seed_phase=1.0, dt_gamma=0.02, start=(0.3 - 0.2j, -0.1 + 0.4j)
 )
+
+
+# One draw per path of the divergence scan, with the limit as a multiple of
+# the peak |alpha|. On resonance from rest both amplitudes keep the phase
+# pi/4, so every part is |alpha|/sqrt(2) and a limit of 1.5 peaks passes the
+# bound on the parts; a limit of 1.2 peaks fails it with no index, 0.9 with one.
+_AT_45_DEGREES = dict(
+    epsilon=0.5, delta_norm=0.0, phi_p=math.pi / 2, seed_phase=math.pi / 4, dt_gamma=0.02, n_steps=300, start=(0j, 0j)
+)
+_SCAN_CASES = {"bound": 1.5, "exact, none": 1.2, "exact, index": 0.9}
 
 
 def _kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
@@ -369,6 +406,28 @@ class TestCavityRk4Kernel:
     def test_bits_match_the_einsum_kernel(self, epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start):
         # Up to epsilon = 1.5, so that divergence indices are drawn too.
         _assert_bits_match(_kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_KERNEL_DRAWS, peaks=st.floats(0.4, 1.6))
+    @example(**_AT_45_DEGREES, peaks=_SCAN_CASES["bound"])
+    @example(**_AT_45_DEGREES, peaks=_SCAN_CASES["exact, none"])
+    @example(**_AT_45_DEGREES, peaks=_SCAN_CASES["exact, index"])
+    def test_divergence_scan_matches_the_einsum_kernel(
+        self, epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start, peaks
+    ):
+        # The limit near the peak |alpha| takes the kernel down both paths:
+        # the bound on the parts, and the exact scan, with and without an index.
+        args = _kernel_args(epsilon, delta_norm, phi_p, seed_phase, dt_gamma, n_steps, start)
+        _assert_bits_match((*args[:-1], peaks * _peak_amplitude(args)))
+
+    @pytest.mark.parametrize("case", _SCAN_CASES)
+    def test_scan_examples_take_their_paths(self, case):
+        args = _kernel_args(**_AT_45_DEGREES)
+        limit = _SCAN_CASES[case] * _peak_amplitude(args)
+        alpha_s, alpha_i, diverged = _reference_doubling_rk4(*args[:-1], limit)
+        largest_part = max(np.max(np.abs(a[1:].view(np.float64))) for a in (alpha_s, alpha_i))
+        got = ("bound" if largest_part <= 0.5 * limit else "exact, none") if diverged < 0 else "exact, index"
+        assert got == case
 
     @pytest.mark.parametrize("drive", [0j, 1.0])
     @pytest.mark.parametrize("phi_p", [0.0, math.pi / 2, math.pi])

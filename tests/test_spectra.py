@@ -41,14 +41,13 @@ class TestTwoModeVariance:
         assert vm.shape == omega.shape
         assert np.all(np.diff(vm) > 0)  # squeezing degrades away from DC
 
-    def test_minimum_uncertainty_product_at_unit_efficiency(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            eps = float(rng.uniform(0.0, 0.99))
-            w = float(rng.uniform(0.0, 10.0))
-            vm = spectra.two_mode_variance(eps, 1.0, w, "minus")
-            vp = spectra.two_mode_variance(eps, 1.0, w, "plus")
-            assert abs(vm * vp - 1.0) < 1e-12
+    # On resonance only: off resonance the product exceeds 1 (ROADMAP item 15).
+    @settings(max_examples=200, deadline=None)
+    @given(eps=st.floats(0.0, 0.95), w=st.floats(0.0, 10.0))
+    def test_minimum_uncertainty_product_at_unit_efficiency(self, eps, w):
+        vm = spectra.two_mode_variance(eps, 1.0, w, "minus")
+        vp = spectra.two_mode_variance(eps, 1.0, w, "plus")
+        assert abs(vm * vp - 1.0) < 1e-12
 
     def test_domain_checks(self):
         with pytest.raises(PhysicsDomainError):
@@ -136,6 +135,20 @@ class TestDuanSimon:
     def test_rejects_nonpositive(self):
         with pytest.raises(PhysicsDomainError):
             spectra.duan_simon(0.0, 1.0)
+
+    # eta * eps is 0 or at least 1e-9, so that V- < 1 survives the rounding of 1 - V-.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eta=st.just(0.0) | st.floats(3.2e-5, 1.0),
+        eps=st.just(0.0) | st.floats(3.2e-5, 0.95),
+        w=st.floats(0.0, 10.0),
+    )
+    def test_sum_is_twice_the_squeezed_variance(self, eta, eps, w):
+        vm = spectra.two_mode_variance(eps, eta, w, "minus")
+        vp = spectra.two_mode_variance(eps, eta, w, "plus")
+        result = spectra.duan_simon(vm, spectra.orthogonal_variance(vp, vm, "plus"))
+        assert result.total == 2.0 * vm
+        assert result.entangled == (eta * eps > 0)
 
 
 def _per_arm_weighted_variance(eps, eta_s, eta_i, omega, sign):
