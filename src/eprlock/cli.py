@@ -101,8 +101,8 @@ DEFAULT_CONFIG: dict = {
         "epsilons": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
         "sigma_theta": 0.01,
         "theta_cutoff": 200.0,
-        "duration": 5.0,
-        "rate": 2e5,
+        "duration": 10.0,
+        "rate": 5e4,
         "band": [5e3, 1.5e4],
     },
     "reproduce_fig5": {"f_lo": 5e3, "f_hi": 1.7e4, "points": 121},
@@ -399,18 +399,19 @@ def _cmd_lock_sim(cfg, sys_cfg, input_path):
 def _cmd_synth_epr(cfg, sys_cfg, input_path):
     settings = locksim.SynthSettings(**cfg["synth_epr"])
     rate, seed = settings.rate, cfg["run"]["rng_seed"]
-    # One set, drawn as a fig4 point draws it: q_s ends in mix, q_i in minus, the shot record in plus.
+    # One set, drawn as fig4's point 0 draws it, with its stream keys: q_s
+    # ends in mix, q_i in minus, the shot record in plus.
     buffers = locksim.RecordBuffers.empty(settings.samples)
     theta = None
     if settings.sigma_theta > 0:
         sigma, cutoff = settings.sigma_theta, settings.theta_cutoff
-        theta = locksim.synth_theta_process(sigma, cutoff, rate, seed + 1, buffers=buffers)
+        theta = locksim.synth_theta_process(sigma, cutoff, rate, (seed, locksim.THETA_STREAM, 0), buffers=buffers)
     detection, gamma = sys_cfg.detection, sys_cfg.cavity.gamma_total
     q_s, q_i = locksim.synth_epr_photocurrents(
-        sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, gamma, theta, rate, seed,
-        dark_noise=settings.dark_noise, buffers=buffers,
+        sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, gamma, theta, rate,
+        (seed, locksim.PHOTOCURRENT_STREAM, 0), dark_noise=settings.dark_noise, buffers=buffers,
     )
-    shot = locksim.shot_noise_reference(rate, seed + 2, buffers=buffers)
+    shot = locksim.shot_noise_reference(rate, (seed, locksim.SHOT_STREAM, 0), buffers=buffers)
     return {
         "photocurrents.csv": (["t", "q_s", "q_i"], [q_s.times, q_s.samples, q_i.samples]),
         "shot_reference.csv": (["t", "shot"], [shot.times, shot.samples]),

@@ -35,6 +35,16 @@ IN_LOCK_THRESHOLD = 0.1  # rad
 # noise when enabled.
 DARK_NOISE_CLEARANCE_DB = 24.0
 
+# Random streams of fig4 and synth-epr. A draw of run seed S takes
+# np.random.default_rng((S, stream, index)), index the pump point or 0:
+# numpy hashes the key through SeedSequence, so distinct keys give
+# independent streams and no two seeds share a draw. The streams start at 1
+# because SeedSequence pads its key with zeros, so (S, 0, 0) would draw as
+# the int seed S.
+PHOTOCURRENT_STREAM = 1
+THETA_STREAM = 2
+SHOT_STREAM = 3
+
 
 @dataclass(frozen=True)
 class DisturbanceSpec:
@@ -294,7 +304,7 @@ class SynthSettings(RecordSettings):
 
 
 def synth_theta_process(
-    sigma: float, cutoff: float, rate: float, rng_seed: int, *, buffers: RecordBuffers
+    sigma: float, cutoff: float, rate: float, rng_seed: int | tuple, *, buffers: RecordBuffers
 ) -> TimeSeries:
     """Stationary low-pass Gaussian phase process with exact RMS ``sigma``,
     drawn into ``buffers.theta``."""
@@ -314,8 +324,8 @@ def synth_theta_process(
 
 
 def synth_epr_photocurrents(
-    epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, rate: float, rng_seed: int,
-    dark_noise: bool = False, *, buffers: RecordBuffers,
+    epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, rate: float,
+    rng_seed: int | tuple, dark_noise: bool = False, *, buffers: RecordBuffers,
 ) -> tuple[TimeSeries, TimeSeries]:
     """Correlated homodyne photocurrent records with EPR statistics.
 
@@ -395,7 +405,7 @@ def synth_epr_photocurrents(
     return TimeSeries(sample_rate=rate, samples=q_s), TimeSeries(sample_rate=rate, samples=q_i)
 
 
-def shot_noise_reference(rate: float, rng_seed: int, *, buffers: RecordBuffers) -> TimeSeries:
+def shot_noise_reference(rate: float, rng_seed: int | tuple, *, buffers: RecordBuffers) -> TimeSeries:
     """Unit-variance white record used as the shot-noise normalization, drawn
     into ``buffers.plus``."""
     rng = np.random.default_rng(rng_seed)
@@ -450,24 +460,27 @@ class Fig4Settings(RecordSettings):
 
 
 def fig4_point(
-    epsilon: float, settings: Fig4Settings, rng_seed: int, *, buffers: RecordBuffers
+    epsilon: float, settings: Fig4Settings, run_seed: int, index: int, *, buffers: RecordBuffers
 ) -> tuple[float, float, float, float]:
-    """One pump point of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
+    """Pump point ``index`` of fig4: (epsilon, var_minus, var_plus, relative uncertainty).
 
     Photocurrents at pump ``epsilon`` carry a low-pass theta record; their
     joint quadratures' band variances are normalized to a shot-noise record.
     Every record it draws goes into ``buffers``, a set for
     ``settings.samples``-sample records, which it leaves free for the next
-    point, and its seeds derive from ``rng_seed`` alone, so points can run
-    in any order or at once, each thread with its own set.
+    point, and each draw takes the key (``run_seed``, its stream, ``index``),
+    so points can run in any order or at once, each thread with its own set.
     """
     rate, (f_lo, f_hi), detection = settings.rate, settings.band, settings.detection
     g = detection.idler_weight
-    theta = synth_theta_process(settings.sigma_theta, settings.theta_cutoff, rate, rng_seed + 1, buffers=buffers)
-    q_s, q_i = synth_epr_photocurrents(
-        epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, rate, rng_seed, buffers=buffers
+    theta = synth_theta_process(
+        settings.sigma_theta, settings.theta_cutoff, rate, (run_seed, THETA_STREAM, index), buffers=buffers
     )
-    shot_power = band_power(shot_noise_reference(rate, rng_seed + 2, buffers=buffers), f_lo, f_hi)
+    q_s, q_i = synth_epr_photocurrents(
+        epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, rate,
+        (run_seed, PHOTOCURRENT_STREAM, index), buffers=buffers,
+    )
+    shot_power = band_power(shot_noise_reference(rate, (run_seed, SHOT_STREAM, index), buffers=buffers), f_lo, f_hi)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
     # detection.eta exactly; q_i is weighted in place and each joint
     # quadrature formed in the spent theta buffer.
@@ -485,8 +498,8 @@ def fig4_point(
 
 
 def fig4_dataset(settings: Fig4Settings, seed: int) -> SqueezingDataset:
-    """fig4's points, ``fig4_point`` k at rng_seed seed + 1000 (k + 1), computed
-    on up to one thread per usable CPU.
+    """fig4's points, ``fig4_point`` k at run seed ``seed`` and index k,
+    computed on up to one thread per usable CPU.
 
     The points share no data and their time is spent in numpy calls that
     release the GIL. Each thread draws every point it runs into its own one
@@ -498,17 +511,16 @@ def fig4_dataset(settings: Fig4Settings, seed: int) -> SqueezingDataset:
 
     local = threading.local()
 
-    def point(epsilon, rng_seed):
+    def point(epsilon, index):
         if not hasattr(local, "buffers"):
             local.buffers = RecordBuffers.empty(settings.samples)
-        return fig4_point(epsilon, settings, rng_seed, buffers=local.buffers)
+        return fig4_point(epsilon, settings, seed, index, buffers=local.buffers)
 
     pool = ThreadPoolExecutor(max_workers=max(1, min(len(settings.epsilons), usable_cpus())))
     try:
         # A worker thread starts from a fresh context; the caller's may hold an np.errstate.
         futures = [
-            pool.submit(contextvars.copy_context().run, point, eps, seed + 1000 * (k + 1))
-            for k, eps in enumerate(settings.epsilons)
+            pool.submit(contextvars.copy_context().run, point, eps, k) for k, eps in enumerate(settings.epsilons)
         ]
         points = [future.result() for future in futures]
     finally:

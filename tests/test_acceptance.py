@@ -181,7 +181,8 @@ def test_criterion_09_lock_loop_regulation():
     start = time.perf_counter()
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     result = locksim.run_closed_loop(locksim.LockSettings(**cfg["lock_sim"]), fields)
-    sigma = float(np.std(result.common_mode_theta.samples))
+    # The RMS about the lock point, sqrt(mean(theta^2)), as lock-sim reports it.
+    sigma = float(np.sqrt(np.mean(np.square(result.common_mode_theta.samples))))
 
     ramp_cfg = cli.load_config(
         None,

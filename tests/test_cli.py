@@ -290,7 +290,7 @@ _EXIT_2_CASES = [
     ["reproduce", "fig4", "--set", "reproduce_fig4.sigma_theta=-0.01"],
     ["reproduce", "fig4", "--set", 'fit_settings.mode="bogus"'],
     ["reproduce", "fig4", "--set", "reproduce_fig4.epsilons=[0.1,0.2,0.3]"],
-    ["reproduce", "fig4", "--set", "reproduce_fig4.band=[5000,5001]"],
+    ["reproduce", "fig4", "--set", "reproduce_fig4.band=[5000,5000.5]"],
     ["reproduce", "fig4", "--set", "reproduce_fig4.theta_cutoff=-1"],
     ["synth-epr", "--set", "synth_epr.theta_cutoff=0"],
     ["lock-sim", "--set", "lock_sim.disturbance_i.rng_seed=-1"],
@@ -578,9 +578,7 @@ class TestFig4Points:
             detection=model.DetectionParams(0.95, 0.75), gamma=15e6,
         )
         buffers = locksim.RecordBuffers.empty(settings.samples)
-        serial = [
-            locksim.fig4_point(eps, settings, seed + 1000 * (k + 1), buffers=buffers) for k, eps in enumerate(epsilons)
-        ]
+        serial = [locksim.fig4_point(eps, settings, seed, k, buffers=buffers) for k, eps in enumerate(epsilons)]
         assert locksim.fig4_dataset(settings, seed).points == tuple(serial)
 
 

@@ -505,20 +505,25 @@ def _reference_shot_noise_reference(duration, rate, rng_seed):
     return locksim.TimeSeries(sample_rate=rate, samples=np.random.default_rng(rng_seed).standard_normal(n))
 
 
-def _reference_fig4_point(epsilon, detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi, rng_seed):
-    """fig4_point before it drew into record buffers."""
+def _reference_fig4_point(
+    epsilon, detection, gamma, sigma_theta, theta_cutoff, duration, rate, f_lo, f_hi, run_seed, index
+):
+    """fig4_point before it drew into record buffers, each draw keyed (run_seed, stream, index)."""
     g = detection.idler_weight
     q_s, q_i = _reference_synth_epr(
         epsilon,
         detection.eta_s,
         detection.eta_i,
         gamma,
-        _reference_synth_theta_process(sigma_theta, theta_cutoff, duration, rate, rng_seed + 1),
+        _reference_synth_theta_process(
+            sigma_theta, theta_cutoff, duration, rate, (run_seed, locksim.THETA_STREAM, index)
+        ),
         duration,
         rate,
-        rng_seed,
+        (run_seed, locksim.PHOTOCURRENT_STREAM, index),
     )
-    shot_power = locksim.band_power(_reference_shot_noise_reference(duration, rate, rng_seed + 2), f_lo, f_hi)
+    shot = _reference_shot_noise_reference(duration, rate, (run_seed, locksim.SHOT_STREAM, index))
+    shot_power = locksim.band_power(shot, f_lo, f_hi)
     q_i *= g
     norm = math.hypot(1.0, g)
     vm = locksim.band_rms(locksim.TimeSeries(rate, (q_s - q_i) / norm), f_lo, f_hi, shot_power)
@@ -593,14 +598,14 @@ class TestRecordBuffers:
         buffers = _stale_buffers(n)
         band = (2e3, 6e3)
         points = [
-            (0.4, DetectionParams(0.95, 0.75), 0.01, 1000),
-            (0.7, DetectionParams(0.89, 0.89), 0.0, 2000),
-            (0.2, DetectionParams(0.6, 0.99), 0.03, 3000),
+            (0.4, DetectionParams(0.95, 0.75), 0.01, 1000, 0),
+            (0.7, DetectionParams(0.89, 0.89), 0.0, 1000, 1),
+            (0.2, DetectionParams(0.6, 0.99), 0.03, 3000, 2),
         ]
-        for epsilon, detection, sigma, seed in points:
-            args = (epsilon, detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band, seed)
+        for epsilon, detection, sigma, seed, index in points:
+            args = (epsilon, detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band, seed, index)
             settings = _fig4_settings(detection, 15e6, sigma, 200.0, n / self.RATE, self.RATE, *band)
-            got = locksim.fig4_point(epsilon, settings, seed, buffers=buffers)
+            got = locksim.fig4_point(epsilon, settings, seed, index, buffers=buffers)
             ref = _reference_fig4_point(*args)
             assert got == ref
             assert np.array(got).tobytes() == np.array(ref).tobytes()
@@ -616,29 +621,33 @@ class TestRecordBuffers:
         duration, rate = block["duration"], block["rate"]
         theta = None
         if sigma > 0:
-            theta = _reference_synth_theta_process(sigma, block["theta_cutoff"], duration, rate, seed + 1)
+            theta = _reference_synth_theta_process(
+                sigma, block["theta_cutoff"], duration, rate, (seed, locksim.THETA_STREAM, 0)
+            )
         detection = sys_cfg.detection
         q_s, q_i = _reference_synth_epr(
             sys_cfg.pump.epsilon, detection.eta_s, detection.eta_i, sys_cfg.cavity.gamma_total, theta, duration, rate,
-            seed, block["dark_noise"],
+            (seed, locksim.PHOTOCURRENT_STREAM, 0), block["dark_noise"],
         )
-        shot = _reference_shot_noise_reference(duration, rate, seed + 2)
+        shot = _reference_shot_noise_reference(duration, rate, (seed, locksim.SHOT_STREAM, 0))
         currents = np.loadtxt(tmp_path / "photocurrents.csv", delimiter=",", skiprows=1)
         written = np.loadtxt(tmp_path / "shot_reference.csv", delimiter=",", skiprows=1)
         for column, ref in ((currents[:, 1], q_s), (currents[:, 2], q_i), (written[:, 1], shot.samples)):
             assert column.tobytes() == ref.tobytes()
 
     def test_second_point_allocates_less_than_a_record(self):
-        """At the default 1M samples, a point drawn into a set that an earlier
-        point already used raises numpy's traced peak by less than one record."""
+        """At 1M samples, a point drawn into a set that an earlier point
+        already used raises numpy's traced peak by less than one record.
+        (Welch's blocks of 2**18 samples take about 6 MB at any length, more
+        than one record below about 750,000 samples.)"""
         duration, rate = 5.0, 2e5
         n = locksim._sample_count(duration, rate)
         buffers = locksim.RecordBuffers.empty(n)
         settings = _fig4_settings(DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, duration, rate, 5e3, 1.5e4)
-        locksim.fig4_point(0.3, settings, 1000, buffers=buffers)
+        locksim.fig4_point(0.3, settings, 1000, 0, buffers=buffers)
         tracemalloc.start()
         try:
-            locksim.fig4_point(0.6, settings, 2000, buffers=buffers)
+            locksim.fig4_point(0.6, settings, 1000, 1, buffers=buffers)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
