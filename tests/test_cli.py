@@ -582,6 +582,57 @@ class TestFig4Points:
         assert locksim.fig4_dataset(settings, seed).points == tuple(serial)
 
 
+class TestRandomStreams:
+    """Each fig4 and synth-epr draw takes the key (run seed, stream, index),
+    so runs at different seeds share no draw, where integer seed offsets
+    made runs 1000 apart share them."""
+
+    def test_fig4_runs_a_thousand_apart_share_no_row(self, tmp_path):
+        """The shifted pump list at seed 13345 wrote seven of its eight rows
+        bit-identical to rows of seed 12345."""
+        shifted = ["--set", "reproduce_fig4.epsilons=[0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.85]"]
+        rows = []
+        for seed, extra in (("12345", []), ("13345", shifted)):
+            out = tmp_path / seed
+            args = ["--seed", seed, "--set", "reproduce_fig4.duration=1.0", *extra, "--out", str(out)]
+            assert cli.main(["reproduce", "fig4", *args]) == 0
+            rows.append({tuple(row) for row in _read_csv(out / "fig4_dataset.csv")[1]})
+        assert len(rows[0]) == len(rows[1]) == 8
+        assert not rows[0] & rows[1]
+
+    def test_synth_epr_differs_from_fig4_point_0_a_thousand_below(self, tmp_path, monkeypatch):
+        """At equal record settings, synth-epr --seed S drew the theta,
+        photocurrent and shot records of fig4's point 0 at S - 1000."""
+        records = {"synth-epr": [], "fig4": []}
+        command = "synth-epr"
+
+        def spy(name):
+            real = getattr(locksim, name)
+
+            def draw(*args, **kwargs):
+                result = real(*args, **kwargs)
+                if name != "synth_epr_photocurrents" or args[0] == 0.8:  # the photocurrents of point 0 alone
+                    for record in result if isinstance(result, tuple) else (result,):
+                        records[command].append((name, record.samples.tobytes()))
+                return result
+
+            return draw
+
+        for name in ("synth_theta_process", "synth_epr_photocurrents", "shot_noise_reference"):
+            monkeypatch.setattr(locksim, name, spy(name))
+        same = ["synth_epr.duration=0.2", "synth_epr.rate=5e4", "synth_epr.sigma_theta=0.01", "pump.epsilon=0.8"]
+        same += ["reproduce_fig4.duration=0.2", "reproduce_fig4.rate=5e4", "reproduce_fig4.sigma_theta=0.01"]
+        same += ["reproduce_fig4.epsilons=[0.8,0.1,0.3,0.5]"]
+        settings = [f"--set={o}" for o in same]
+        assert cli.main(["synth-epr", "--seed", "5000", *settings, "--out", str(tmp_path / "epr")]) == 0
+        command = "fig4"
+        assert cli.main(["reproduce", "fig4", "--seed", "4000", *settings, "--out", str(tmp_path / "f4")]) == 0
+        # theta, q_s, q_i and shot; fig4's four theta and shot records and point 0's q_s and q_i.
+        assert len(records["synth-epr"]) == 4 and len(records["fig4"]) == 10
+        shared = set(records["synth-epr"]) & set(records["fig4"])
+        assert not shared, sorted(name for name, _ in shared)
+
+
 class TestSynthEprCommand:
     def test_photocurrents_written(self, tmp_path):
         out = tmp_path / "run"

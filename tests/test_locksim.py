@@ -658,6 +658,17 @@ class TestFig4Settings:
     """band_bins over the records' Welch grid is the band's only check: it
     takes [0, Nyquist] and refuses a band reaching past either end."""
 
+    def test_default_records_beat_a_million_samples_at_200_khz(self):
+        """10 s at 50 kHz hold half the samples of 5 s at 200 kHz but more
+        Welch segments x bins in the band: a band power's scatter is set by
+        the band's width times the record's length, not by the rate."""
+        block = cli.DEFAULT_CONFIG["reproduce_fig4"]
+        settings = locksim.Fig4Settings(**block, detection=DetectionParams(0.89, 0.89), gamma=15e6)
+        f_lo, f_hi = settings.band
+        scatter = estimation.band_power_scatter(settings.samples, settings.rate, f_lo, f_hi)
+        assert scatter <= 0.75 * estimation.band_power_scatter(1_000_000, 2e5, f_lo, f_hi)
+        assert settings.rate / 2.0 >= 1.5 * f_hi
+
     def test_band_from_zero_to_nyquist_is_accepted(self):
         settings = _fig4_settings(DetectionParams(0.89, 0.89), 15e6, 0.0, 200.0, 0.05, 2e5, 0.0, 1e5)
         assert settings.band == (0.0, 1e5)
