@@ -8,6 +8,7 @@ phase-noise RMS extraction, error-signal calibration, and the two-parameter
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,22 +113,50 @@ def welch_frequencies(n_samples: int, rate: float) -> np.ndarray:
     return np.fft.rfftfreq(segment_length, d=1.0 / rate)
 
 
-def welch_psd(series: TimeSeries) -> PsdEstimate:
+@functools.lru_cache(maxsize=4)
+def _hann(segment_length: int) -> np.ndarray:
+    """Periodic Hann window, read-only: the first n points of the symmetric
+    (n + 1)-point window."""
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    win.flags.writeable = False
+    return win
+
+
+def welch_psd(series: TimeSeries, scratch: tuple[np.ndarray, np.ndarray] | None = None) -> PsdEstimate:
     """One-sided Welch PSD whose band integral recovers the series variance:
-    periodic Hann segments of ``default_segment_length``, overlapped by half."""
+    periodic Hann segments of ``default_segment_length``, overlapped by half.
+
+    ``scratch`` is a pair (block, spectrum) of contiguous float64 arrays that
+    this spends: block holds windowed segments, segment_length floats each,
+    and spectrum their rfft spectra and powers, 3 (segment_length // 2 + 1)
+    floats each. Without it, or if either array holds less than one segment,
+    they are allocated once per call.
+    """
     freqs = welch_frequencies(series.samples.size, series.sample_rate)
     segment_length = default_segment_length(series.samples.size)
-    # Periodic Hann: the first n points of the symmetric (n + 1)-point window.
-    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
+    bins = segment_length // 2 + 1
+    win = _hann(segment_length)
     segments = sliding_window_view(series.samples, segment_length)[:: segment_length - segment_length // 2]
     # Periodograms of a few segments at a time, summed row by row in segment
     # order: the bits of a mean over all of them, without their full batch.
-    rows = max(1, _WELCH_BLOCK_SAMPLES // segment_length)
-    dens = np.zeros(segment_length // 2 + 1)
+    rows = min(max(1, _WELCH_BLOCK_SAMPLES // segment_length), len(segments))
+    held = 0 if scratch is None else min(scratch[0].size // segment_length, scratch[1].size // (3 * bins))
+    if held:
+        block, spectrum = scratch
+        rows = min(rows, held)
+    else:
+        block, spectrum = np.empty(rows * segment_length), np.empty(3 * rows * bins)
+    windowed = block[: rows * segment_length].reshape(rows, segment_length)
+    transform = spectrum[: 2 * rows * bins].view(complex).reshape(rows, bins)
+    power = spectrum[2 * rows * bins : 3 * rows * bins].reshape(rows, bins)
+    dens = np.zeros(bins)
     for start in range(0, len(segments), rows):
-        power = np.abs(np.fft.rfft(segments[start : start + rows] * win))
-        power *= power
-        for row in power:
+        k = min(rows, len(segments) - start)
+        np.multiply(segments[start : start + k], win, out=windowed[:k])
+        np.fft.rfft(windowed[:k], out=transform[:k])
+        rows_power = np.abs(transform[:k], out=power[:k])
+        rows_power *= rows_power
+        for row in rows_power:
             dens += row
     dens /= len(segments)
     # One-sided density: every bin but DC (and Nyquist, for even lengths)

@@ -10,6 +10,7 @@ quantities measured here.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import mmap
 import threading
@@ -248,8 +249,10 @@ class RecordBuffers:
     - ``plus``: q_plus, then the vacuum and dark-noise draws, then the
       shot-noise reference;
     - ``mix``: theta's deviations from its mean, cos and sin theta, then q_s;
-    - ``spectrum``: one record's rfft spectrum, as 2 (n // 2 + 1) floats;
-    - ``gain``: the n // 2 + 1 bin gains of that spectrum.
+    - ``spectrum``: one record's rfft spectrum, as 2 (n // 2 + 1) floats,
+      then fig4's Welch spectra and powers;
+    - ``gain``: the n // 2 + 1 bin gains of that spectrum, then fig4's
+      windowed Welch segments.
     """
 
     theta: np.ndarray
@@ -323,6 +326,16 @@ def synth_theta_process(
     return TimeSeries(sample_rate=rate, samples=x)
 
 
+@functools.lru_cache(maxsize=2)
+def _bin_grid(n: int, rate: float, gamma: float) -> np.ndarray:
+    """np.fft.rfftfreq(n, d=1.0 / rate) / gamma, with rfftfreq's arithmetic,
+    read-only: the bin frequencies of an n-sample record in units of gamma."""
+    grid = np.arange(n // 2 + 1) * (1.0 / (n * (1.0 / rate)))
+    grid /= gamma
+    grid.flags.writeable = False
+    return grid
+
+
 def synth_epr_photocurrents(
     epsilon: float, eta_s: float, eta_i: float, gamma: float, theta: TimeSeries | None, rate: float,
     rng_seed: int | tuple, dark_noise: bool = False, *, buffers: RecordBuffers,
@@ -348,12 +361,10 @@ def synth_epr_photocurrents(
     # rfft of unit white noise: E|X_k|^2 = n, half real and half imaginary but at DC and (n even) Nyquist.
     m = n // 2 + 1
     real_bins = [0, m - 1] if n % 2 == 0 else [0]
+    grid = _bin_grid(n, rate, gamma)
 
     def gain_for(sign: str) -> np.ndarray:
-        # np.fft.rfftfreq(n, d=1.0 / rate) / gamma, with rfftfreq's arithmetic, in the gain buffer.
-        omega = np.multiply(np.arange(m), 1.0 / (n * (1.0 / rate)), out=buffers.gain)
-        omega /= gamma
-        gain = two_mode_variance(epsilon, 1.0, omega, sign, out=omega)
+        gain = two_mode_variance(epsilon, 1.0, grid, sign, out=buffers.gain)
         gain *= n / 2.0
         return np.sqrt(gain, out=gain)
 
@@ -412,15 +423,21 @@ def shot_noise_reference(rate: float, rng_seed: int | tuple, *, buffers: RecordB
     return TimeSeries(sample_rate=rate, samples=rng.standard_normal(buffers.plus.size, out=buffers.plus))
 
 
-def band_power(series: TimeSeries, f_lo: float, f_hi: float) -> float:
-    """RMS of ``series`` in [f_lo, f_hi] from its Welch PSD."""
-    return integrate_psd(welch_psd(series), f_lo, f_hi)
+def band_power(
+    series: TimeSeries, f_lo: float, f_hi: float, *, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
+    """RMS of ``series`` in [f_lo, f_hi] from its Welch PSD, estimated in
+    ``welch_psd``'s ``scratch``."""
+    return integrate_psd(welch_psd(series, scratch), f_lo, f_hi)
 
 
-def band_rms(series: TimeSeries, f_lo: float, f_hi: float, shot_power: float) -> float:
+def band_rms(
+    series: TimeSeries, f_lo: float, f_hi: float, shot_power: float, *,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Band variance of ``series`` over [f_lo, f_hi] in shot-noise units: the squared
     ratio of its ``band_power`` to ``shot_power``, the shot-noise record's over the band."""
-    return (band_power(series, f_lo, f_hi) / shot_power) ** 2
+    return (band_power(series, f_lo, f_hi, scratch=scratch) / shot_power) ** 2
 
 
 def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, PsdEstimate]:
@@ -468,7 +485,8 @@ def fig4_point(
     joint quadratures' band variances are normalized to a shot-noise record.
     Every record it draws goes into ``buffers``, a set for
     ``settings.samples``-sample records, which it leaves free for the next
-    point, and each draw takes the key (``run_seed``, its stream, ``index``),
+    point; its three Welch passes run in the set's spent ``gain`` and
+    ``spectrum``. Each draw takes the key (``run_seed``, its stream, ``index``),
     so points can run in any order or at once, each thread with its own set.
     """
     rate, (f_lo, f_hi), detection = settings.rate, settings.band, settings.detection
@@ -480,7 +498,9 @@ def fig4_point(
         epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, rate,
         (run_seed, PHOTOCURRENT_STREAM, index), buffers=buffers,
     )
-    shot_power = band_power(shot_noise_reference(rate, (run_seed, SHOT_STREAM, index), buffers=buffers), f_lo, f_hi)
+    welch = (buffers.gain, buffers.spectrum)  # spent once the photocurrents are drawn
+    shot = shot_noise_reference(rate, (run_seed, SHOT_STREAM, index), buffers=buffers)
+    shot_power = band_power(shot, f_lo, f_hi, scratch=welch)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss
     # detection.eta exactly; q_i is weighted in place and each joint
     # quadrature formed in the spent theta buffer.
@@ -490,10 +510,10 @@ def fig4_point(
     joint = buffers.theta[: q_s.size]
     np.subtract(q_s, q_i, out=joint)
     joint /= norm
-    vm = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power)
+    vm = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power, scratch=welch)
     np.add(q_s, q_i, out=joint)
     joint /= norm
-    vp = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power)
+    vp = band_rms(TimeSeries(rate, joint), f_lo, f_hi, shot_power, scratch=welch)
     return epsilon, vm, vp, band_power_scatter(q_s.size, rate, f_lo, f_hi)
 
 

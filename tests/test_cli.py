@@ -215,7 +215,7 @@ class TestExitCodes:
         """The points run on worker threads, which must keep run()'s
         errstate: an overflow there is exit 4, not a warning."""
 
-        def overflowing_band_power(series, f_lo, f_hi):
+        def overflowing_band_power(series, f_lo, f_hi, *, scratch=None):
             return float(np.float64(1e308) * np.float64(10.0))
 
         monkeypatch.setattr(cli.locksim, "band_power", overflowing_band_power)
@@ -434,6 +434,32 @@ class TestSpectraCommands:
         assert payload["sum"] == pytest.approx(0.242, abs=1e-3)
         assert payload["entangled"] is True
         assert payload["sum_with_phase_noise"] > payload["sum"]
+
+    # eta * eps is 0 or at least about 1e-9, and the sigma_Theta grid is
+    # 1 mrad, so each step of the sum lies far above its rounding.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        eps=st.just(0.0) | st.floats(3.2e-5, 0.95),
+        eta_s=st.just(0.0) | st.floats(3.2e-5, 1.0),
+        eta_i=st.just(0.0) | st.floats(3.2e-5, 1.0),
+        mrad=st.lists(st.integers(0, 500), min_size=2, max_size=6, unique=True),
+    )
+    def test_duan_simon_sum_rises_with_phase_noise(self, eps, eta_s, eta_i, mrad):
+        """duan-simon's sum_with_phase_noise rises strictly with sigma_Theta
+        in [0, 0.5] rad where eta * eps > 0, and stays put where it is 0."""
+        sums = []
+        for k in sorted(mrad):
+            overrides = [
+                f"pump.epsilon={eps!r}", f"detection.eta_s={eta_s!r}", f"detection.eta_i={eta_i!r}",
+                f"phase_noise.sigma_theta={k / 1000.0!r}",
+            ]
+            cfg = cli.load_config(None, overrides)
+            payload = cli._COMMANDS["duan-simon"](cfg, model.config_from_dict(cfg), None)["duan_simon.json"]
+            sums.append(payload["sum_with_phase_noise"])
+        if model.DetectionParams(eta_s, eta_i).eta * eps > 0:
+            assert all(a < b for a, b in zip(sums, sums[1:])), sums
+        else:
+            assert sums == [sums[0]] * len(sums)
 
     def test_reproduce_fig5(self, tmp_path):
         out = tmp_path / "run"

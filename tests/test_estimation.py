@@ -75,6 +75,29 @@ class TestWelchPsd:
         np.testing.assert_array_equal(psd.frequencies, freqs)
         np.testing.assert_allclose(psd.densities, dens, rtol=1e-12, atol=0.0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(8, 20_000), data=st.data())
+    @example(n=8, data=None)  # one segment of 8
+    def test_scratch_keeps_the_bits(self, n, data):
+        """welch_psd in a NaN-filled caller scratch, holding room for none,
+        one or more than all of the record's segments, gives the bits of
+        welch_psd without it."""
+        series = TimeSeries(1e4, np.random.default_rng(n).standard_normal(n))
+        segment = estimation.default_segment_length(n)
+        bins = segment // 2 + 1
+        count = (n - segment) // (segment - segment // 2) + 1
+        if data is None:
+            block_rows, spectrum_rows, spare = 1, 1, 0
+        else:
+            block_rows = data.draw(st.integers(0, count + 2), label="block rows")
+            spectrum_rows = data.draw(st.integers(0, count + 2), label="spectrum rows")
+            spare = data.draw(st.integers(0, segment - 1), label="spare floats")
+        scratch = (np.full(block_rows * segment + spare, np.nan), np.full(3 * spectrum_rows * bins + spare, np.nan))
+        got = estimation.welch_psd(series, scratch)
+        ref = estimation.welch_psd(series)
+        assert got.frequencies.tobytes() == ref.frequencies.tobytes()
+        assert got.densities.tobytes() == ref.densities.tobytes()
+
     # (n, segments): the default segment length gives 15 segments of n/8 up to
     # its 2**16 cap, in blocks of _WELCH_BLOCK_SAMPLES // nperseg = 26, 15, 10
     # and (capped, 17 segments) 4.

@@ -593,7 +593,8 @@ class TestRecordBuffers:
             if theta_from == "caller":
                 np.testing.assert_array_equal(theta.samples, ref_theta.samples)  # a caller's theta is not spent
 
-    @pytest.mark.parametrize("n", [4000, 4001])
+    # At n = 10 and 13 the gain buffer holds less than one Welch segment of 8.
+    @pytest.mark.parametrize("n", [10, 13, 4000, 4001])
     def test_fig4_points_share_one_set(self, n):
         buffers = _stale_buffers(n)
         band = (2e3, 6e3)
@@ -636,11 +637,11 @@ class TestRecordBuffers:
             assert column.tobytes() == ref.tobytes()
 
     def test_second_point_allocates_less_than_a_record(self):
-        """At 1M samples, a point drawn into a set that an earlier point
-        already used raises numpy's traced peak by less than one record.
-        (Welch's blocks of 2**18 samples take about 6 MB at any length, more
-        than one record below about 750,000 samples.)"""
-        duration, rate = 5.0, 2e5
+        """At fig4's default 10 s x 50 kHz, a point drawn into a set that an
+        earlier point already used raises numpy's traced peak by less than
+        half a record: its Welch blocks go into the set's spent buffers."""
+        block = cli.DEFAULT_CONFIG["reproduce_fig4"]
+        duration, rate = block["duration"], block["rate"]
         n = locksim._sample_count(duration, rate)
         buffers = locksim.RecordBuffers.empty(n)
         settings = _fig4_settings(DetectionParams(0.95, 0.75), 15e6, 0.01, 200.0, duration, rate, 5e3, 1.5e4)
@@ -651,7 +652,7 @@ class TestRecordBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n
+        assert peak < 4 * n
 
 
 class TestFig4Settings:
