@@ -51,8 +51,9 @@ def db(linear_variance) -> float:
     return 10.0 * np.log10(linear_variance)
 
 
-# Samples one record (or RK4 trajectory) may hold: 16x fig4's and synth-epr's
-# default 1M-sample records. Past it a run would ask numpy for gigabytes.
+# Samples one record (or RK4 trajectory) may hold: 16x synth-epr's default
+# 1M-sample records, 33x fig4's 500,000. Past it a run would ask numpy for
+# gigabytes.
 MAX_SAMPLES = 2**24
 
 
