@@ -290,18 +290,22 @@ def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            rows = list(reader)
+            rows = [row for row in reader if row]  # a blank line reads as []
     except OSError as exc:
         raise ConfigError(f"cannot read input {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"input {path} is empty")
     header = [c.strip() for c in rows[0]]
     try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
+        values = [[float(x) for x in row] for row in rows[1:]]
     except ValueError as exc:
         raise ConfigError(f"non-numeric data in {path}: {exc}") from exc
-    if data.size == 0:
+    if not values:
         raise ConfigError(f"input {path} has no data rows")
+    if len({len(row) for row in values}) > 1:
+        k, row = next((k, row) for k, row in enumerate(values, 1) if len(row) != len(header))
+        raise ConfigError(f"input {path}: data row {k} has {len(row)} values under {len(header)} column names")
+    data = np.array(values)
     if data.shape[1] != len(header):
         raise ConfigError(f"input {path} has {data.shape[1]} values per row under {len(header)} column names")
     if not np.all(np.isfinite(data)):

@@ -1,10 +1,9 @@
 """Classical dynamics of the seeded nondegenerate parametric oscillator.
 
 Steady-state coherent-lock output fields are computed three ways: an exact
-2x2 complex linear solve (the default), a closed-form expression (with a
-"corrected" and a "paper-literal" denominator variant), and long-time RK4
-integration of the equations of motion. The three routes are mutually
-checking oracles.
+2x2 complex linear solve (the default), one closed-form expression, and
+long-time RK4 integration of the equations of motion. The three routes are
+mutually checking oracles.
 
 With detunings Delta_s = -Delta_i = Delta and complex coupling
 G = epsilon*gamma*exp(i*phi_p), the steady state solves
@@ -33,8 +32,6 @@ from .model import (
     SeedParams,
     sample_budget,
 )
-
-CLOSED_FORM_VARIANTS = ("corrected", "paper-literal")
 
 # Amplitude-explosion heuristic: |alpha| beyond this multiple of the input
 # scale flags an unstable integration step.
@@ -127,16 +124,15 @@ def steady_state_closed_form(
     seed: SeedParams,
     variant: str = "corrected",
 ) -> LockFieldState:
-    """Closed-form output amplitudes.
+    """Closed-form output amplitudes, equal to the linear solve's.
 
-    The "corrected" variant uses (1 + dn^2) in both epsilon^2 sub-terms of
-    the signal-field denominator and matches the linear solve exactly. The
-    "paper-literal" variant keeps (1 + dn) in the second sub-term and
-    (1 - i*dn) in the idler expression, exactly as printed; it deviates at
-    nonzero detuning and is retained for documentation only.
+    Both epsilon^2 sub-terms of the signal denominator carry (1 + dn^2), and
+    the idler expression divides by (1 + i*dn); the printed (1 + dn) and
+    (1 - i*dn) disagree with the linear solve off resonance, so they are not
+    used. ``variant`` accepts only "corrected".
     """
-    if variant not in CLOSED_FORM_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {CLOSED_FORM_VARIANTS}")
+    if variant != "corrected":
+        raise ValueError(f"unknown variant {variant!r}; only 'corrected' remains")
     _require_below_threshold(pump)
     gamma = cavity.gamma_total
     dn = cavity.delta_norm
@@ -148,18 +144,12 @@ def steady_state_closed_form(
         * seed.alpha_cl
         * cmath.exp(1j * seed.seed_phase)
     )
-    first = eps**2 / (1.0 + dn**2)
-    if variant == "corrected":
-        second = eps**2 / (1.0 + dn**2)
-        idler_denom = 1.0 + 1j * dn
-    else:
-        second = eps**2 / (1.0 + dn)
-        idler_denom = 1.0 - 1j * dn
-    denom = (1.0 - first) - 1j * dn * (1.0 + second)
+    sub_term = eps**2 / (1.0 + dn**2)
+    denom = (1.0 - sub_term) - 1j * dn * (1.0 + sub_term)
     if denom == 0:
         raise NumericalError("vanishing closed-form denominator")
     a_cls = prefactor / denom
-    a_cli = eps * cmath.exp(1j * pump.phi_p) / idler_denom * np.conj(a_cls)
+    a_cli = eps * cmath.exp(1j * pump.phi_p) / (1.0 + 1j * dn) * np.conj(a_cls)
     return LockFieldState(a_cls=complex(a_cls), a_cli=complex(a_cli))
 
 

@@ -35,7 +35,7 @@ def test_criterion_01_steady_state_three_way_agreement():
             cavity = CavityParams(gamma_in=0.5, gamma_out=0.5, delta=delta_norm)
             pump = PumpParams(epsilon=float(epsilon), phi_p=0.4)
             lin = nopo.steady_state_linear_solve(cavity, pump, seed)
-            closed = nopo.steady_state_closed_form(cavity, pump, seed, variant="corrected")
+            closed = nopo.steady_state_closed_form(cavity, pump, seed)
             out = math.sqrt(2.0 * cavity.gamma_out)
             traj = nopo.integrate_dynamics(
                 cavity, pump, seed, t_end=50.0, dt=0.02,

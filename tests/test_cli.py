@@ -751,6 +751,59 @@ class TestInputCommands:
         assert json.loads(lines[0])["error"] == "config"
         assert not (out / "fit.json").exists()
 
+    @staticmethod
+    def _table_lines(command):
+        """A header and data lines that ``command`` accepts."""
+        theta = np.linspace(0.0, 2.0 * math.pi, 200)
+        if command == "psd":
+            return ["t,value", *(f"{k * 1e-3},{math.sin(0.3 * k)}" for k in range(200))]
+        if command == "calibrate":
+            return ["t,phase,signal", *(f"{k * 1e-3},{p},{0.7 * math.sin(p)}" for k, p in enumerate(theta))]
+        rows = ("0.1,0.8,1.3,0.01", "0.3,0.5,2.5,0.01", "0.5,0.4,5.0,0.01", "0.7,0.3,12.0,0.01")
+        return ["epsilon,var_minus,var_plus,uncert", *rows]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("command", ["psd", "calibrate", "fit"])
+    def test_trailing_blank_line_changes_no_artifact(self, tmp_path, command, eol):
+        text = eol.join(self._table_lines(command)) + eol
+        artifacts = []
+        for name, body in (("plain", text), ("blank", text + eol)):
+            table = tmp_path / f"{name}.csv"
+            table.write_bytes(body.encode())
+            out = tmp_path / name
+            assert cli.main([command, "--input", str(table), "--out", str(out)]) == 0
+            artifacts.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+        assert artifacts[0] and artifacts[0] == artifacts[1]
+
+    @pytest.mark.parametrize("command", ["psd", "calibrate", "fit"])
+    def test_ragged_row_names_the_row(self, tmp_path, capsys, command):
+        lines = self._table_lines(command)
+        lines[3] += ",1.0"
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert cli.main([command, "--input", str(table), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        width = lines[0].count(",") + 1
+        message = json.loads(err[0])["message"]
+        assert f"data row 3 has {width + 1} values under {width} column names" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("t,value\n0,1\n1,x\n2,3\n", "non-numeric data in"),
+            ("t,phase,signal\n0,1\n1,2\n2,3\n", "has 2 values per row under 3 column names"),
+        ],
+        ids=["non-numeric", "uniform-width"],
+    )
+    def test_table_messages(self, tmp_path, capsys, text, words):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert cli.main(["calibrate", "--input", str(table), "--out", str(tmp_path / "run")]) == 2
+        assert words in json.loads(capsys.readouterr().err)["message"]
+
 
 _EVERY_COMMAND = [
     ["steady-state"],

@@ -54,28 +54,15 @@ class TestClosedFormVsLinearSolve:
         pump = PumpParams(epsilon=epsilon, phi_p=0.7)
         seed = SeedParams(alpha_cl=2.0, seed_phase=-0.4)
         a = nopo.steady_state_linear_solve(cavity, pump, seed)
-        b = nopo.steady_state_closed_form(cavity, pump, seed, variant="corrected")
+        b = nopo.steady_state_closed_form(cavity, pump, seed)
         assert abs(a.a_cls - b.a_cls) < 1e-12 * max(1.0, abs(a.a_cls))
         assert abs(a.a_cli - b.a_cli) < 1e-12 * max(1.0, abs(a.a_cls))
 
-    def test_paper_literal_agrees_on_resonance_only(self):
-        pump = PumpParams(epsilon=0.6)
-        seed = SeedParams(alpha_cl=1.0)
-        on = nopo.steady_state_closed_form(_symmetric_cavity(0.0), pump, seed, variant="paper-literal")
-        ref_on = nopo.steady_state_closed_form(_symmetric_cavity(0.0), pump, seed, variant="corrected")
-        assert on.a_cls == pytest.approx(ref_on.a_cls)
-        assert on.a_cli == pytest.approx(ref_on.a_cli)
-        # note dn = 0.5: at dn = 1 the two signal denominators coincide
-        off = nopo.steady_state_closed_form(_symmetric_cavity(0.5), pump, seed, variant="paper-literal")
-        ref_off = nopo.steady_state_closed_form(_symmetric_cavity(0.5), pump, seed, variant="corrected")
-        assert abs(off.a_cls - ref_off.a_cls) > 1e-3
-        assert abs(off.a_cli - ref_off.a_cli) > 1e-3
-
     def test_unknown_variant_rejected(self):
+        args = (_symmetric_cavity(0.5), PumpParams(epsilon=0.6), SeedParams(alpha_cl=1.0))
+        assert nopo.steady_state_closed_form(*args, variant="corrected") == nopo.steady_state_closed_form(*args)
         with pytest.raises(ValueError, match="variant"):
-            nopo.steady_state_closed_form(
-                _symmetric_cavity(), PumpParams(epsilon=0.5), SeedParams(alpha_cl=1.0), variant="bogus"
-            )
+            nopo.steady_state_closed_form(*args, variant="bogus")
 
 
 class TestPhaseCondition:
