@@ -129,7 +129,7 @@ def steady_state_closed_form(
     Both epsilon^2 sub-terms of the signal denominator carry (1 + dn^2), and
     the idler expression divides by (1 + i*dn); the printed (1 + dn) and
     (1 - i*dn) disagree with the linear solve off resonance, so they are not
-    used. ``variant`` accepts only "corrected".
+    used. ``variant``, kept for callers that pass it, accepts only "corrected".
     """
     if variant != "corrected":
         raise ValueError(f"unknown variant {variant!r}; only 'corrected' remains")

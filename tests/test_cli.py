@@ -754,11 +754,11 @@ class TestInputCommands:
     @staticmethod
     def _table_lines(command):
         """A header and data lines that ``command`` accepts."""
-        theta = np.linspace(0.0, 2.0 * math.pi, 200)
         if command == "psd":
             return ["t,value", *(f"{k * 1e-3},{math.sin(0.3 * k)}" for k in range(200))]
         if command == "calibrate":
-            return ["t,phase,signal", *(f"{k * 1e-3},{p},{0.7 * math.sin(p)}" for k, p in enumerate(theta))]
+            phases = np.linspace(0.0, 2.0 * math.pi, 200)
+            return ["t,phase,signal", *(f"{k * 1e-3},{p},{0.7 * math.sin(p)}" for k, p in enumerate(phases))]
         rows = ("0.1,0.8,1.3,0.01", "0.3,0.5,2.5,0.01", "0.5,0.4,5.0,0.01", "0.7,0.3,12.0,0.01")
         return ["epsilon,var_minus,var_plus,uncert", *rows]
 
