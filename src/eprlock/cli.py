@@ -341,12 +341,15 @@ def _cmd_integrate(cfg, sys_cfg, input_path):
     return {"trajectory.csv": (header, columns)}
 
 
+def _squeezing_pair(sys_cfg, epsilon, omega):
+    """(var_minus, var_plus) at pump ``epsilon`` and normalized frequency ``omega``
+    under the configured detection: the one place the commands evaluate them."""
+    return tuple(spectra.two_mode_variance(epsilon, sys_cfg.detection.eta, omega, sign) for sign in ("minus", "plus"))
+
+
 def _spectra_table(sys_cfg, omega, f_hz=None):
     """Squeezing/anti-squeezing spectra on ``omega``, with an optional leading f_hz column."""
-    eps = sys_cfg.pump.epsilon
-    eta = sys_cfg.detection.eta
-    vm = spectra.two_mode_variance(eps, eta, omega, "minus")
-    vp = spectra.two_mode_variance(eps, eta, omega, "plus")
+    vm, vp = _squeezing_pair(sys_cfg, sys_cfg.pump.epsilon, omega)
     header = ["omega_norm", "var_minus", "var_plus", "var_minus_db", "var_plus_db"]
     columns = [omega, vm, vp, db(vm), db(vp)]
     if f_hz is not None:
@@ -363,20 +366,15 @@ def _cmd_spectra(cfg, sys_cfg, input_path):
 def _cmd_sweep(cfg, sys_cfg, input_path):
     block = cfg["sweep_scan"]
     eps_grid = np.linspace(block["epsilon_min"], block["epsilon_max"], _scan_points(cfg, "sweep_scan"))
-    eta = sys_cfg.detection.eta
     sigma = sys_cfg.phase_noise.sigma_theta
-    vm = spectra.two_mode_variance(eps_grid, eta, 0.0, "minus")
-    vp = spectra.two_mode_variance(eps_grid, eta, 0.0, "plus")
+    vm, vp = _squeezing_pair(sys_cfg, eps_grid, 0.0)
     pn_minus = spectra.phase_noise_variance(vm, vp, sigma)
     pn_plus = spectra.phase_noise_variance(vp, vm, sigma)
     return {"sweep.csv": (["epsilon", "var_minus_pn", "var_plus_pn"], [eps_grid, pn_minus, pn_plus])}
 
 
 def _cmd_duan_simon(cfg, sys_cfg, input_path):
-    eps = sys_cfg.pump.epsilon
-    eta = sys_cfg.detection.eta
-    vm = spectra.two_mode_variance(eps, eta, 0.0, "minus")
-    vp = spectra.two_mode_variance(eps, eta, 0.0, "plus")
+    vm, vp = _squeezing_pair(sys_cfg, sys_cfg.pump.epsilon, 0.0)
     vp_orth = spectra.orthogonal_variance(vp, vm, "plus")
     result = spectra.duan_simon(vm, vp_orth)
     sigma = sys_cfg.phase_noise.sigma_theta

@@ -70,22 +70,6 @@ class SqueezingDataset:
                 raise ValueError(f"uncertainty = {unc} is negative (0 means unknown)")
         object.__setattr__(self, "points", pts)
 
-    @property
-    def epsilons(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    @property
-    def var_minus(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
-
-    @property
-    def var_plus(self) -> np.ndarray:
-        return np.array([p[2] for p in self.points])
-
-    @property
-    def uncertainties(self) -> np.ndarray:
-        return np.array([p[3] for p in self.points])
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -275,7 +259,7 @@ def fit_phase_noise_model(data: SqueezingDataset, settings: FitSettings) -> FitR
         raise ValueError(f"need at least {MIN_FIT_POINTS} data points")
     mode = settings.mode
     w_max = phase_noise_weight(_SIGMA_MAX, mode)
-    eps, vm, vp, unc = data.epsilons, data.var_minus, data.var_plus, data.uncertainties
+    eps, vm, vp, unc = np.array(data.points).T
     if not np.all(unc > 0):
         # Unknown: equal relative uncertainties, whose value s^2 cancels.
         unc = np.ones_like(unc)

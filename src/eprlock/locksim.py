@@ -24,7 +24,8 @@ from .estimation import (
     welch_frequencies, welch_psd,
 )
 from .model import (
-    DetectionParams, PhaseNoiseSpec, PhysicsDomainError, TimeSeries, fork_join, sample_budget, usable_cpus,
+    DetectionParams, PhaseNoiseSpec, PhysicsDomainError, TimeSeries, _require_finite, _require_finite_fields,
+    fork_join, sample_budget, usable_cpus,
 )
 from .nopo import LockFieldState
 from .spectra import two_mode_variance
@@ -58,10 +59,12 @@ class DisturbanceSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("random_walk_diffusion", "white_noise_density", "ramp_rate"):
+            _require_finite(name, getattr(self, name))
         if self.random_walk_diffusion < 0 or self.white_noise_density < 0:
             raise ValueError("noise densities must be non-negative")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed = {self.rng_seed} is negative")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed = {self.rng_seed!r} is not a non-negative integer")
         for s in self.sinusoids:
             three = isinstance(s, (list, tuple)) and len(s) == 3
             if not (three and all(isinstance(x, (int, float)) and math.isfinite(x) for x in s)):
@@ -81,6 +84,7 @@ class LoopConfig:
     actuator_q: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if self.lpf_cutoff <= 0 or self.actuator_range <= 0:
             raise ValueError("lpf_cutoff and actuator_range must be positive")
         if self.actuator_resonance <= 0 or self.actuator_q <= 0:
@@ -159,11 +163,11 @@ def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> Ti
     return TimeSeries(sample_rate=rate, samples=out)
 
 
-def error_signal(theta, amp_lo, amp_cl):
-    """Demodulated beat-note error signal |LO||CL| sin(theta)."""
-    if amp_lo < 0 or amp_cl < 0:
-        raise ValueError("amplitudes must be non-negative")
-    return amp_lo * amp_cl * np.sin(np.asarray(theta))
+def error_signal(theta, amp):
+    """Demodulated beat-note error signal amp*sin(theta), amp = |LO||CL| >= 0."""
+    if amp < 0:
+        raise ValueError("amplitude must be non-negative")
+    return amp * np.sin(np.asarray(theta))
 
 
 def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
@@ -224,11 +228,11 @@ def calibrate_error_signal(scan: TimeSeries, phase_span: float | None = None):
     ``phase_span`` is the LO phase range swept during the scan; when given
     it must cover at least one full fringe.
     """
-    if phase_span is not None and phase_span < 2.0 * math.pi:
-        raise PhysicsDomainError(f"scan covers {phase_span:.3f} rad < 2*pi: incomplete fringe")
+    if phase_span is not None and not phase_span >= 2.0 * math.pi:
+        raise PhysicsDomainError(f"scan covers {phase_span:.3f} rad, not a full 2*pi fringe")
     s_pp = float(np.max(scan.samples) - np.min(scan.samples))
-    if s_pp <= 0:
-        raise PhysicsDomainError("flat scan: cannot calibrate")
+    if not 0.0 < s_pp < math.inf:
+        raise PhysicsDomainError(f"peak-to-peak {s_pp}: a flat or non-finite scan cannot calibrate")
     return s_pp, 2.0 / s_pp
 
 
@@ -449,9 +453,9 @@ def calibrated_theta_psd(theta: TimeSeries, amp: float) -> tuple[float, float, P
     (S_pp, beta, PSD of the calibrated phase).
     """
     phase_scan = np.linspace(0.0, 2.0 * np.pi, 4096)
-    fringe = TimeSeries(theta.sample_rate, error_signal(phase_scan, 1.0, amp))
+    fringe = TimeSeries(theta.sample_rate, error_signal(phase_scan, amp))
     s_pp, beta = calibrate_error_signal(fringe, float(phase_scan[-1] - phase_scan[0]))
-    raw = TimeSeries(theta.sample_rate, error_signal(theta.samples, 1.0, amp))
+    raw = TimeSeries(theta.sample_rate, error_signal(theta.samples, amp))
     return s_pp, beta, welch_psd(apply_calibration(raw, beta))
 
 

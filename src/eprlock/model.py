@@ -157,10 +157,6 @@ class TimeSeries:
     def times(self) -> np.ndarray:
         return np.arange(self.samples.size) / self.sample_rate
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class CavityParams:

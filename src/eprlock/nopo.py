@@ -81,6 +81,13 @@ def _drive(cavity: CavityParams, seed: SeedParams) -> complex:
     return math.sqrt(2.0 * cavity.gamma_in) * seed.alpha_cl * cmath.exp(1j * seed.seed_phase)
 
 
+def _system_matrix(cavity: CavityParams, pump: PumpParams) -> np.ndarray:
+    """Steady-state matrix M of the (alpha_s, alpha_i^*) equations; the drift matrix is -M."""
+    diag = cavity.gamma_total - 1j * cavity.delta
+    g = _coupling(cavity, pump)
+    return np.array([[diag, -g], [-np.conj(g), diag]], dtype=np.complex128)
+
+
 def _require_below_threshold(pump: PumpParams) -> None:
     if pump.epsilon >= 1.0:
         raise AboveThresholdError(
@@ -100,16 +107,9 @@ def steady_state_linear_solve(
 ) -> LockFieldState:
     """Exact steady state from the 2x2 complex linear system in (alpha_s, alpha_i^*)."""
     _require_below_threshold(pump)
-    gamma = cavity.gamma_total
-    delta = cavity.delta
-    g = _coupling(cavity, pump)
-    m = np.array(
-        [[gamma - 1j * delta, -g], [-np.conj(g), gamma - 1j * delta]],
-        dtype=np.complex128,
-    )
     rhs = np.array([_drive(cavity, seed), 0.0], dtype=np.complex128)
     try:
-        sol = np.linalg.solve(m, rhs)
+        sol = np.linalg.solve(_system_matrix(cavity, pump), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular steady-state system: {exc}") from exc
     alpha_s = sol[0]
@@ -158,14 +158,7 @@ def drift_eigenvalues(cavity: CavityParams, pump: PumpParams) -> np.ndarray:
 
     A positive real part signals exponential growth (above threshold).
     """
-    gamma = cavity.gamma_total
-    delta = cavity.delta
-    g = _coupling(cavity, pump)
-    m = np.array(
-        [[-(gamma - 1j * delta), g], [np.conj(g), -(gamma - 1j * delta)]],
-        dtype=np.complex128,
-    )
-    return np.linalg.eigvals(m)
+    return np.linalg.eigvals(-_system_matrix(cavity, pump))
 
 
 def integrate_dynamics(
@@ -224,12 +217,3 @@ def output_fields(cavity: CavityParams, trajectory: Trajectory) -> LockFieldStat
         a_cls=complex(out * trajectory.alpha_s[-1]),
         a_cli=complex(out * trajectory.alpha_i[-1]),
     )
-
-
-def detuning_phase_offset(delta_norm: float) -> float:
-    """Constant phase-sum offset arg(1/(1 + i*dn)) introduced by detuning.
-
-    At nonzero detuning phi_CLs + phi_CLi - phi_p equals this constant,
-    which drops out of the relative phase condition.
-    """
-    return cmath.phase(1.0 / (1.0 + 1j * delta_norm))

@@ -220,7 +220,7 @@ def test_criterion_10_estimator_calibration():
 
     theta = np.linspace(0.0, 2.0 * math.pi, 4097)
     amp = 0.7
-    fringe = TimeSeries(1e3, locksim.error_signal(theta, 1.0, amp))
+    fringe = TimeSeries(1e3, locksim.error_signal(theta, amp))
     _, beta = locksim.calibrate_error_signal(fringe, 2.0 * math.pi)
     round_trip = abs(beta * amp - 1.0)
     elapsed = time.perf_counter() - start

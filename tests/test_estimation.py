@@ -148,12 +148,10 @@ class TestApplyCalibration:
 
 
 class TestSqueezingDataset:
-    def test_properties(self):
-        ds = estimation.SqueezingDataset(points=((0.1, 0.9, 1.2, 0.01), (0.5, 0.4, 5.0, 0.01)))
-        np.testing.assert_allclose(ds.epsilons, [0.1, 0.5])
-        np.testing.assert_allclose(ds.var_minus, [0.9, 0.4])
-        np.testing.assert_allclose(ds.var_plus, [1.2, 5.0])
-        np.testing.assert_allclose(ds.uncertainties, [0.01, 0.01])
+    def test_points(self):
+        ds = estimation.SqueezingDataset(points=[np.array([0.1, 0.9, 1.2, 0.01]), [0.5, 0.4, 5, 0.01]])
+        assert ds.points == ((0.1, 0.9, 1.2, 0.01), (0.5, 0.4, 5.0, 0.01))
+        assert all(type(x) is float for p in ds.points for x in p)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +161,7 @@ class TestSqueezingDataset:
         with pytest.raises(ValueError, match="negative"):
             estimation.SqueezingDataset(points=((0.5, 0.5, 2.0, -0.01),))
         # Zero stays "unknown".
-        assert estimation.SqueezingDataset(points=((0.5, 0.5, 2.0, 0.0),)).uncertainties[0] == 0.0
+        assert estimation.SqueezingDataset(points=((0.5, 0.5, 2.0, 0.0),)).points[0][3] == 0.0
 
 
 def _synthetic_dataset(eta, sigma, epsilons, rel_unc=0.01, noise_seed=None, mode="small-angle"):
@@ -300,7 +298,7 @@ class TestClosedFormFit:
         residuals in (eta, sigma_Theta), J by central differences."""
         ds = _synthetic_dataset(0.8, 0.2, EPS_GRID, rel_unc=0.01, noise_seed=2, mode=mode)
         fit = estimation.fit_phase_noise_model(ds, FitSettings(mode))
-        eps, vm, vp, unc = ds.epsilons, ds.var_minus, ds.var_plus, ds.uncertainties
+        eps, vm, vp, unc = np.array(ds.points).T
 
         def residuals(p):
             m_vm, m_vp = _model_variances(eps, p[0], p[1], 0.0, mode)

@@ -14,9 +14,8 @@ from eprlock import cli, estimation, kernels, locksim, model, spectra
 
 
 class TestTimeSeries:
-    def test_times_and_duration(self):
+    def test_times(self):
         ts = locksim.TimeSeries(sample_rate=100.0, samples=np.zeros(50))
-        assert ts.duration == pytest.approx(0.5)
         assert ts.times[1] == pytest.approx(0.01)
 
     def test_validation(self):
@@ -70,6 +69,12 @@ class TestSynthDisturbance:
         with pytest.raises(ValueError, match="positive rate"):
             locksim.synth_disturbance(locksim.DisturbanceSpec(), -1.0, -10.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["random_walk_diffusion", "white_noise_density", "ramp_rate", "rng_seed"])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            locksim.DisturbanceSpec(**{name: value})
+
     @pytest.mark.parametrize("sinusoids", [(5.0,), ((50.0, 0.1),), ((50.0, math.nan, 0.0),), (("a", 1.0, 0.0),)])
     def test_sinusoid_must_be_three_finite_numbers(self, sinusoids):
         with pytest.raises(ValueError, match="sinusoid"):
@@ -79,12 +84,12 @@ class TestSynthDisturbance:
 class TestErrorSignal:
     def test_sinusoidal_fringe(self):
         theta = np.linspace(-math.pi, math.pi, 101)
-        sig = locksim.error_signal(theta, 2.0, 3.0)
+        sig = locksim.error_signal(theta, 6.0)
         np.testing.assert_allclose(sig, 6.0 * np.sin(theta), atol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            locksim.error_signal(0.0, -1.0, 1.0)
+            locksim.error_signal(0.0, -1.0)
 
 
 FIELDS = LockFieldState(a_cls=1.0 + 0j, a_cli=0.5 + 0j)
@@ -95,6 +100,14 @@ def _quiet_loop(**kw):
                 actuator_resonance=2e4, actuator_q=10.0)
     base.update(kw)
     return locksim.LoopConfig(**base)
+
+
+class TestLoopConfig:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["kp", "ki", "lpf_cutoff", "actuator_range", "actuator_resonance", "actuator_q"])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            _quiet_loop(**{name: value})
 
 
 class TestRunClosedLoop:
@@ -188,6 +201,18 @@ class TestCalibrateErrorSignal:
         scan = locksim.TimeSeries(1e3, np.zeros(100))
         with pytest.raises(PhysicsDomainError, match="flat"):
             locksim.calibrate_error_signal(scan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scan_rejected(self, bad):
+        samples = np.sin(np.linspace(0.0, 2.0 * math.pi, 100))
+        samples[17] = bad
+        with pytest.raises(PhysicsDomainError, match="non-finite"):
+            locksim.calibrate_error_signal(locksim.TimeSeries(1e3, samples), 2.0 * math.pi)
+
+    def test_nan_phase_span_rejected(self):
+        scan = locksim.TimeSeries(1e3, np.sin(np.linspace(0.0, 2.0 * math.pi, 100)))
+        with pytest.raises(PhysicsDomainError, match="fringe"):
+            locksim.calibrate_error_signal(scan, math.nan)
 
 
 class TestSynthThetaProcess:

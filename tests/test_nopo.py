@@ -83,9 +83,8 @@ class TestPhaseCondition:
         pump = PumpParams(epsilon=0.5, phi_p=0.3)
         seed = SeedParams(alpha_cl=1.0, seed_phase=0.1)
         state = nopo.steady_state_linear_solve(_symmetric_cavity(dn), pump, seed)
-        offset = nopo.detuning_phase_offset(dn)
-        assert offset == pytest.approx(-math.atan(dn))
-        mismatch = wrap_phase(state.phi_cls + state.phi_cli - pump.phi_p - offset)
+        # arg(1/(1 + i*dn)): the constant the idler's 1/(1 + i*dn) factor adds to the phase sum.
+        mismatch = wrap_phase(state.phi_cls + state.phi_cli - pump.phi_p + math.atan(dn))
         assert abs(mismatch) < 1e-9
 
 
@@ -107,6 +106,17 @@ class TestDriftEigenvalues:
         lam = nopo.drift_eigenvalues(_symmetric_cavity(), PumpParams(epsilon=0.4))
         real = np.sort(lam.real)
         np.testing.assert_allclose(real, [-1.4, -0.6], atol=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.4, 0.9, 1.2])
+    @pytest.mark.parametrize("delta_norm", [-2.0, -0.3, 0.0, 0.7, 3.0])
+    @pytest.mark.parametrize("phi_p", [0.0, 1.1, -2.5])
+    def test_detuned_closed_form(self, epsilon, delta_norm, phi_p):
+        """-(gamma - i*Delta) +- epsilon*gamma, whatever the pump phase."""
+        lam = nopo.drift_eigenvalues(_symmetric_cavity(delta_norm), PumpParams(epsilon=epsilon, phi_p=phi_p))
+        expected = -(1.0 - 1j * delta_norm) + np.array([-epsilon, epsilon])
+        lam = lam[np.argsort(lam.real)]
+        np.testing.assert_allclose(lam.real, expected.real, atol=1e-12)
+        np.testing.assert_allclose(lam.imag, expected.imag, atol=1e-12)
 
     def test_above_threshold_has_growing_mode(self):
         lam = nopo.drift_eigenvalues(_symmetric_cavity(), PumpParams(epsilon=1.2))
