@@ -95,7 +95,9 @@ class LoopConfig:
 class LockSettings:
     """Both locks of a run: the arms' loops, the signal, idler and pump-phase
     disturbances, and the duration (s) and rate (Hz) of the records. A loop or
-    disturbance given as its lock_sim config object is built from it."""
+    disturbance given as its lock_sim config object is built from it. A
+    disturbance line at or above the Nyquist frequency rate/2 is refused,
+    since the records would alias it."""
 
     loop_s: LoopConfig
     loop_i: LoopConfig
@@ -113,6 +115,12 @@ class LockSettings:
         if self.rate < 20.0 * max(self.loop_s.lpf_cutoff, self.loop_i.lpf_cutoff):
             raise ValueError("rate must be at least 20x the demodulation cutoff")
         _sample_count(self.duration, self.rate)
+        for name in ("disturbance_s", "disturbance_i", "disturbance_pump"):
+            for line in getattr(self, name).sinusoids:
+                if not abs(line[0]) < self.rate / 2.0:
+                    raise ValueError(
+                        f"{name} line {list(line)} is at or above the Nyquist frequency {self.rate / 2.0:g} Hz"
+                    )
 
     @property
     def samples(self) -> int:
@@ -132,7 +140,8 @@ class LockRunResult:
     @property
     def common_mode_theta(self) -> TimeSeries:
         """Pointwise average of the two arm residuals."""
-        common = 0.5 * (self.residual_theta_s.samples + self.residual_theta_i.samples)
+        common = np.add(self.residual_theta_s.samples, self.residual_theta_i.samples)
+        common *= 0.5
         return TimeSeries(self.residual_theta_s.sample_rate, common)
 
 
@@ -144,22 +153,35 @@ def _sample_count(duration: float, rate: float) -> int:
 
 
 def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> TimeSeries:
-    """Seeded disturbance record; bit-reproducible for a fixed seed."""
+    """Seeded disturbance record; bit-reproducible for a fixed seed.
+
+    The sum of its terms, each formed in place in one scratch record with
+    the operations of amp*sin(2 pi f t + phase) and ramp_rate*t in their
+    order, so no other record-sized temporary is made.
+    """
     n = _sample_count(duration, rate)
     dt = 1.0 / rate
     rng = np.random.default_rng(spec.rng_seed)
     out = np.zeros(n)
     if spec.random_walk_diffusion > 0:
         steps = rng.normal(0.0, math.sqrt(spec.random_walk_diffusion * dt), n)
-        out += np.cumsum(steps)
+        out += np.cumsum(steps, out=steps)
+        del steps  # freed before the next draw
     if spec.white_noise_density > 0:
         # one-sided density W over [0, Nyquist] -> sample variance W*rate/2
         out += rng.normal(0.0, math.sqrt(spec.white_noise_density * rate / 2.0), n)
-    t = np.arange(n) * dt
-    for freq, amp, phase in spec.sinusoids:
-        out += amp * np.sin(2.0 * np.pi * freq * t + phase)
-    if spec.ramp_rate != 0.0:
-        out += spec.ramp_rate * t
+    if spec.sinusoids or spec.ramp_rate != 0.0:
+        t = np.arange(n, dtype=float)
+        t *= dt
+        term = np.empty(n)
+        for freq, amp, phase in spec.sinusoids:
+            np.multiply(2.0 * np.pi * freq, t, out=term)
+            term += phase
+            np.sin(term, out=term)
+            term *= amp
+            out += term
+        if spec.ramp_rate != 0.0:
+            out += np.multiply(spec.ramp_rate, t, out=term)
     return TimeSeries(sample_rate=rate, samples=out)
 
 
@@ -207,7 +229,9 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
 
     sat_i, (res_s, sat_s) = fork_join(idler_arm, signal_arm)
 
-    in_lock = float(np.mean((np.abs(res_s) < IN_LOCK_THRESHOLD) & (np.abs(res_i) < IN_LOCK_THRESHOLD)))
+    # -T < r < T is |r| < T for every float, NaN included, with no float temporary.
+    lim = IN_LOCK_THRESHOLD
+    in_lock = float(np.mean((res_s > -lim) & (res_s < lim) & (res_i > -lim) & (res_i < lim)))
 
     # Diverging residual variance marks an unstable loop: compare the last
     # quarter of the record against the second quarter (first quarter is

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 from dataclasses import dataclass, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -72,13 +74,22 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _send_outcome(conn, child_fn) -> None:
-    """Worker body: send (True, child_fn()) or (False, the exception it raised)."""
+def _worker(child_fn, sink) -> NoReturn:
+    """Body of fork_join's worker: pickle (True, child_fn()) or (False, the
+    exception it raised) into ``sink``, then end the process with os._exit.
+    It never returns into the caller's stack, nor flushes a buffer it
+    inherited; a result that cannot be pickled ends it with exit code 1."""
+    code = 1
     try:
-        outcome = (True, child_fn())
-    except BaseException as exc:
-        outcome = (False, exc)
-    conn.send(outcome)
+        try:
+            outcome = (True, child_fn())
+        except BaseException as exc:
+            outcome = (False, exc)
+        sink.write(pickle.dumps(outcome))
+        sink.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def fork_join(child_fn, parent_fn):
@@ -86,41 +97,35 @@ def fork_join(child_fn, parent_fn):
 
     Returns (child result, parent result). ``child_fn`` reaches the worker by
     fork inheritance, so it is never pickled; its result and exception are,
-    so it should return something small and hand bulk data back through
-    memory or files the parent opened before the call. The worker's own
-    exception is raised here; an exception of ``parent_fn`` wins over it,
-    and no worker outlives the call. With fewer than 2 usable CPUs, no
-    ``fork`` start method, or inside a daemonic process (which may not have
-    children) both run inline, ``parent_fn`` first.
+    and come back through a pipe, so it should return something small and
+    hand bulk data back through memory or files the parent opened before the
+    call. The worker's own exception is raised here; an exception of
+    ``parent_fn`` wins over it, and no worker outlives the call. With fewer
+    than 2 usable CPUs, or no ``os.fork``, both run inline, ``parent_fn`` first.
     """
-    import multiprocessing  # here: its import would cost every command
-
-    if (
-        usable_cpus() < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
+    if usable_cpus() < 2 or not hasattr(os, "fork"):
         parent = parent_fn()
         return child_fn(), parent
-    ctx = multiprocessing.get_context("fork")
-    reader, writer = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_send_outcome, args=(writer, child_fn), daemon=True)
-    worker.start()
-    writer.close()
-    try:
-        parent = parent_fn()
-        outcome = reader.recv()
-    except EOFError:
-        outcome = None
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        reader.close()
-    if outcome is None:
-        raise NumericalError(f"worker ended without a result (exit code {worker.exitcode})")
-    ok, value = outcome
+    reader, writer = os.pipe()
+    with open(reader, "rb") as pipe, open(writer, "wb") as sink:
+        pid = os.fork()
+        if pid == 0:
+            _worker(child_fn, sink)
+        sink.close()  # the pipe ends when the worker does
+        try:
+            parent = parent_fn()
+            result = pipe.read()  # to EOF before waitpid: a large result cannot block the worker
+        except BaseException:
+            import signal  # here: only a failed call needs it
+
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    exit_code = os.waitstatus_to_exitcode(status)
+    if exit_code or not result:
+        raise NumericalError(f"worker ended without a result (exit code {exit_code})")
+    ok, value = pickle.loads(result)
     if not ok:
         raise value
     return value, parent
@@ -155,7 +160,10 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) / self.sample_rate
+        """np.arange(size) / sample_rate, divided in place."""
+        times = np.arange(self.samples.size, dtype=float)
+        times /= self.sample_rate
+        return times
 
 
 @dataclass(frozen=True)

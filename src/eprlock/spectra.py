@@ -38,6 +38,8 @@ def two_mode_variance(epsilon, eta, omega_norm, sign: str, out=None):
     itself among them), receives the result instead of a new one.
     """
     _check_sign(sign)
+    if out is None and isinstance(epsilon, (int, float)) and isinstance(omega_norm, (int, float)):
+        return _scalar_two_mode_variance(epsilon, eta, omega_norm, sign)
     eps = np.asarray(epsilon, dtype=float)
     # Written so that NaN fails the check too.
     if not np.all((eps >= 0.0) & (eps < 1.0)):
@@ -58,6 +60,20 @@ def two_mode_variance(epsilon, eta, omega_norm, sign: str, out=None):
     if result.ndim == 0:
         return float(result)
     return result
+
+
+def _scalar_two_mode_variance(epsilon, eta, omega_norm, sign: str) -> float:
+    """two_mode_variance on Python floats, with the array path's operations
+    in its order (a*a, not a**2, which rounds differently) and its bits, at
+    a few percent of its cost per call."""
+    eps, omega = float(epsilon), float(omega_norm)
+    if not 0.0 <= eps < 1.0:
+        raise PhysicsDomainError(f"epsilon = {epsilon} outside [0, 1)")
+    if not 0.0 <= eta <= 1.0:
+        raise PhysicsDomainError(f"eta = {eta} outside [0, 1]")
+    a = 1.0 + eps if sign == "minus" else 1.0 - eps
+    r = eta * 4.0 * eps / (omega * omega + a * a)
+    return 1.0 - r if sign == "minus" else r + 1.0
 
 
 def orthogonal_variance(var_plus, var_minus, sign: str):

@@ -7,7 +7,6 @@ import dataclasses
 import io
 import json
 import math
-import multiprocessing
 import os
 import random
 import re
@@ -19,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -280,6 +280,8 @@ _EXIT_2_CASES = [
     ["calibrate", "--input", "{nan_value}"],
     ["integrate", "--set", "integrate.dt_over_gamma=0"],
     ["lock-sim", "--set", "lock_sim.disturbance_pump.sinusoids=[5]"],
+    ["lock-sim", "--set", "lock_sim.disturbance_s.sinusoids=[[1.5e5, 0.01, 0.0]]"],
+    ["reproduce", "fig3", "--set", "lock_sim.disturbance_pump.sinusoids=[[50, 0.01, 0], [-1e5, 0.01, 0]]"],
     ["steady-state", "--set", "phase_noise.sigma_s=0.01"],
     ["calibrate", "--input", "{t_only}"],
     ["calibrate", "--input", "{no_t}"],
@@ -355,6 +357,22 @@ class TestRejectedSettings:
             message = json.loads(capsys.readouterr().err)["message"]
             for name in [*names, "shorter than one segment of 8"]:
                 assert name in message, message
+
+    @pytest.mark.parametrize(
+        "args, name, line",
+        [
+            (["lock-sim"], "disturbance_s", [150000.0, 0.01, 0.0]),
+            (["lock-sim"], "disturbance_i", [100000.0, 0.01, 0.0]),
+            (["reproduce", "fig3"], "disturbance_pump", [-100000.0, 0.01, 0.0]),
+        ],
+    )
+    def test_a_line_at_or_above_nyquist_names_its_disturbance(self, tmp_path, capsys, args, name, line):
+        """lock_sim.rate is 2e5 Hz: a line at or above 1e5 Hz would alias, so the run exits 2."""
+        override = f"lock_sim.{name}.sinusoids={json.dumps([line])}"
+        assert cli.main([*args, "--set", override, "--out", str(tmp_path / "run")]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert f"{name} line {line}" in message and "Nyquist frequency 100000 Hz" in message, message
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "args", [args for args in _EXIT_2_CASES if "--set" in args], ids=lambda args: " ".join(args)
@@ -953,14 +971,22 @@ class TestImport:
     def test_cli_imports_no_scipy(self, tmp_path):
         """The package loads no scipy: not on import, nor in a command. The
         import also leaves out concurrent.futures, which only reproduce fig4
-        uses, and multiprocessing, which only the forked worker uses."""
+        uses. No command loads multiprocessing: lock-sim and synth-epr,
+        made to fork on any host, run their worker with a bare os.fork, two
+        forks each (lock-sim's idler arm and CSV half, synth-epr's two CSV
+        halves)."""
         code = (
             "print(scipy(), 'concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)\n"
+            "import os, eprlock.model\n"
+            "eprlock.model.usable_cpus = lambda: 2\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
             "assert cli.main(['steady-state', '--out', out + '/s']) == 0\n"
             "assert cli.main(['lock-sim', '--set', 'lock_sim.duration=0.05', '--out', out + '/l']) == 0\n"
-            "print(scipy())\n"
+            "assert cli.main(['synth-epr', '--set', 'synth_epr.duration=0.05', '--out', out + '/e']) == 0\n"
+            "print(scipy(), 'multiprocessing' in sys.modules, len(forks))\n"
         )
-        assert self._printed(tmp_path, code) == ["[] False False", "[]"]
+        assert self._printed(tmp_path, code) == ["[] False False", "[] False 4"]
 
     def test_fits_import_no_scipy(self, tmp_path):
         """The (eta, sigma_Theta) fit is solved in closed form and the optimal
@@ -1026,7 +1052,7 @@ class TestForkedWorker:
         for name in names:
             if name != "manifest.json":
                 assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @staticmethod
     def _assert_one_config_error(args, out, capfd, message):
@@ -1037,7 +1063,7 @@ class TestForkedWorker:
         assert len(lines) == 1, err
         assert json.loads(lines[0]) == {"error": "config", "type": "ValueError", "message": message}
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
     def test_failing_idler_arm_keeps_the_exit_contract(self, tmp_path, capfd, monkeypatch, cpus):

@@ -18,6 +18,12 @@ class TestTimeSeries:
         ts = locksim.TimeSeries(sample_rate=100.0, samples=np.zeros(50))
         assert ts.times[1] == pytest.approx(0.01)
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 5000), rate=st.floats(1e-3, 1e7))
+    def test_times_keep_the_plain_expression_bits(self, n, rate):
+        times = locksim.TimeSeries(sample_rate=rate, samples=np.zeros(n)).times
+        assert times.tobytes() == (np.arange(n) / rate).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             locksim.TimeSeries(sample_rate=0.0, samples=np.zeros(5))
@@ -75,6 +81,32 @@ class TestSynthDisturbance:
         with pytest.raises(ValueError, match=name):
             locksim.DisturbanceSpec(**{name: value})
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        walk=st.sampled_from([0.0, 1.5]),
+        white=st.sampled_from([0.0, 1e-9]),
+        lines=st.lists(st.tuples(st.floats(-4e3, 4e3), st.floats(-1.0, 1.0), st.floats(-7.0, 7.0)), max_size=3),
+        ramp=st.sampled_from([0.0, 0.3, -2.5]),
+    )
+    def test_keeps_the_plain_expression_bits(self, seed, walk, white, lines, ramp):
+        """The record built in place equals, bit for bit, the sum of its
+        terms as plain expressions, drawn in the same order."""
+        n, rate = 1000, 1e4
+        rng = np.random.default_rng(seed)
+        expected = np.zeros(n)
+        if walk > 0:
+            expected += np.cumsum(rng.normal(0.0, math.sqrt(walk * (1.0 / rate)), n))
+        if white > 0:
+            expected += rng.normal(0.0, math.sqrt(white * rate / 2.0), n)
+        t = np.arange(n) * (1.0 / rate)
+        for freq, amp, phase in lines:
+            expected += amp * np.sin(2.0 * np.pi * freq * t + phase)
+        if ramp != 0.0:
+            expected += ramp * t
+        spec = locksim.DisturbanceSpec(walk, white, lines, ramp, seed)
+        assert locksim.synth_disturbance(spec, n / rate, rate).samples.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("sinusoids", [(5.0,), ((50.0, 0.1),), ((50.0, math.nan, 0.0),), (("a", 1.0, 0.0),)])
     def test_sinusoid_must_be_three_finite_numbers(self, sinusoids):
         with pytest.raises(ValueError, match="sinusoid"):
@@ -108,6 +140,23 @@ class TestLoopConfig:
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
             _quiet_loop(**{name: value})
+
+
+class TestLockSettings:
+    @pytest.mark.parametrize("freq", [1e5, -1e5, 1.5e5, 4e5])
+    @pytest.mark.parametrize("name", ["disturbance_s", "disturbance_i", "disturbance_pump"])
+    def test_a_line_at_or_above_nyquist_is_refused(self, name, freq):
+        """At 2e5 Hz a 1.5e5 Hz line would alias to 5e4 Hz: refused, with its disturbance named."""
+        parts = dict.fromkeys(["disturbance_s", "disturbance_i", "disturbance_pump"], locksim.DisturbanceSpec())
+        parts[name] = locksim.DisturbanceSpec(sinusoids=((50.0, 0.01, 0.0), (freq, 0.01, 0.0)))
+        with pytest.raises(ValueError, match=rf"{name} line \[{freq}, 0.01, 0.0\] .* Nyquist frequency 100000 Hz"):
+            locksim.LockSettings(_quiet_loop(), _quiet_loop(), **parts, duration=0.01, rate=2e5)
+
+    def test_a_line_just_below_nyquist_is_kept(self):
+        below = math.nextafter(1e5, 0.0)
+        line = locksim.DisturbanceSpec(sinusoids=((below, 0.01, 0.0), (-below, 0.01, 0.0)))
+        settings = locksim.LockSettings(_quiet_loop(), _quiet_loop(), line, line, line, 0.01, 2e5)
+        assert settings.disturbance_s.sinusoids[0][0] == below
 
 
 class TestRunClosedLoop:
@@ -149,6 +198,38 @@ class TestRunClosedLoop:
         )
         assert result.saturation_count >= 1
         assert result.in_lock_fraction < 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        residuals=st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.1, -0.1, -0.0, math.nextafter(0.1, 0.0), math.nextafter(-0.1, 0.0)]),
+            ),
+            min_size=12, max_size=12,
+        )
+    )
+    def test_in_lock_fraction_and_common_mode_keep_the_plain_expression_bits(self, residuals):
+        """Six samples per arm (too few for the instability check), each arm's
+        servo replaced by a given residual, told apart by the arm's lock-field
+        amplitude: the in-lock fraction is that of |r| < T on both arms, NaN
+        and the threshold itself included, and the common mode is
+        0.5*(theta_s + theta_i) bit for bit."""
+        res_s, res_i = np.array(residuals[:6]), np.array(residuals[6:])
+        real = locksim._run_arm
+        locksim._run_arm = lambda loop, dist, rate, amp: (res_s if amp == abs(FIELDS.a_cls) else res_i, 0)
+        try:
+            quiet = locksim.DisturbanceSpec()
+            result = locksim.run_closed_loop(
+                locksim.LockSettings(_quiet_loop(), _quiet_loop(), quiet, quiet, quiet, 3e-5, 2e5), FIELDS
+            )
+        finally:
+            locksim._run_arm = real
+        lim = locksim.IN_LOCK_THRESHOLD
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert result.in_lock_fraction == float(np.mean((np.abs(res_s) < lim) & (np.abs(res_i) < lim)))
+            common = 0.5 * (res_s + res_i)
+        assert result.common_mode_theta.samples.tobytes() == common.tobytes()
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
     def test_saturation_count_sums_both_arms(self, cpus, monkeypatch):

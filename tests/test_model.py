@@ -1,12 +1,14 @@
 """Unit tests for shared domain types, phase conventions and configuration."""
 
 import math
+import mmap
 import multiprocessing
 import os
 import time
 
 import numpy as np
 import pytest
+from conftest import assert_no_child_left
 
 from eprlock import model
 from eprlock.model import (
@@ -205,8 +207,19 @@ def _raise(exc):
     raise exc
 
 
-def _fork_join_pids():
-    return fork_join(os.getpid, os.getpid)
+def _fork_join_in_pool_worker():
+    """fork_join's two pids in a pool worker, and whether the worker is left
+    with no child."""
+    child_pid, parent_pid = fork_join(os.getpid, os.getpid)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return child_pid, parent_pid, True
+    return child_pid, parent_pid, False
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
 
 
 @pytest.fixture(params=[2, 1], ids=["forked", "inline"])
@@ -214,6 +227,12 @@ def cpus(request, monkeypatch):
     """Run a test with the worker forked and with both functions inline."""
     monkeypatch.setattr(model, "usable_cpus", lambda: request.param)
     return request.param
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Run a test with the worker forked."""
+    monkeypatch.setattr(model, "usable_cpus", lambda: 2)
 
 
 class TestForkJoin:
@@ -224,11 +243,9 @@ class TestForkJoin:
         child_pid, parent = fork_join(os.getpid, lambda: "parent")
         assert parent == "parent"
         assert (child_pid == os.getpid()) == (cpus == 1)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_worker_writes_shared_memory(self, cpus):
-        import mmap
-
         shared = np.frombuffer(mmap.mmap(-1, 8 * 4), dtype=float)
 
         def child():
@@ -241,7 +258,7 @@ class TestForkJoin:
     def test_worker_exception_is_raised_here(self, cpus):
         with pytest.raises(ValueError, match="idler"):
             fork_join(lambda: _raise(ValueError("idler")), lambda: 0)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_parent_exception_wins_and_ends_the_worker(self, cpus):
         """Inline, the worker's function never starts; forked, it is ended."""
@@ -249,17 +266,50 @@ class TestForkJoin:
         with pytest.raises(KeyError):
             fork_join(lambda: time.sleep(30.0), lambda: _raise(KeyError("signal")))
         assert time.perf_counter() - start < 10.0
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_worker_that_dies_is_a_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    def test_worker_that_dies_is_a_numerical_error(self, forked):
         with pytest.raises(NumericalError, match="exit code 3"):
             fork_join(lambda: os._exit(3), lambda: 0)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_inline_inside_a_daemonic_process(self, monkeypatch):
-        """A daemonic process may not start children: both run inline there."""
-        monkeypatch.setattr(model, "usable_cpus", lambda: 2)
+    def test_unpicklable_result_is_a_numerical_error(self, forked):
+        """A lambda cannot be pickled: the worker ends with exit code 1 and
+        never returns into this stack. A worker that did would count itself
+        in the shared counter and end there."""
+        escaped = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+        caller = os.getpid()
+        try:
+            with pytest.raises(NumericalError, match="exit code 1"):
+                fork_join(lambda: (lambda: 0), lambda: 0)
+        finally:
+            if os.getpid() != caller:
+                escaped[0] += 1
+                os._exit(0)
+        assert escaped[0] == 0
+        assert_no_child_left()
+
+    def test_large_result_comes_back_intact(self, forked):
+        """1 MB is many times a pipe's buffer: the caller reads it all before it waits."""
+        payload = np.random.default_rng(1).bytes(2**20)
+        assert fork_join(lambda: payload, lambda: "parent") == (payload, "parent")
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_descriptor_is_left_open(self, forked):
+        before = _open_fds()
+        fork_join(lambda: 1, lambda: 2)
+        with pytest.raises(ValueError):
+            fork_join(lambda: _raise(ValueError("idler")), lambda: 0)
+        with pytest.raises(KeyError):
+            fork_join(lambda: 1, lambda: _raise(KeyError("signal")))
+        assert _open_fds() == before
+
+    def test_forks_inside_a_daemonic_process(self, forked):
+        """A daemonic pool worker, which multiprocessing forbids to have
+        children, still forks its own worker, and is left with no child."""
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            child_pid, parent_pid = pool.apply(_fork_join_pids)
-        assert child_pid == parent_pid != os.getpid()
+            child_pid, parent_pid, no_child_left = pool.apply(_fork_join_in_pool_worker)
+        assert child_pid != parent_pid != os.getpid()
+        assert no_child_left
+        assert_no_child_left()

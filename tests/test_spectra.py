@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -82,6 +82,32 @@ class TestTwoModeVarianceBroadcast:
         eps[where % eps.size] = bad
         with pytest.raises(PhysicsDomainError):
             spectra.two_mode_variance(eps, 0.9, 0.0, "minus")
+
+    @pytest.mark.parametrize("sign", spectra.SIGNS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(0.0, 1.0, exclude_max=True), eta=st.floats(0.0, 1.0), omega=st.floats(0.0, 10.0),
+    )
+    # Points where a**2 in place of a*a (the first two), or omega**2 in place of
+    # omega*omega (the third), changes the result.
+    @example(eps=0.4911116862136464, eta=0.605476144446373, omega=0.53592215529365)
+    @example(eps=0.8851302346977444, eta=0.9937393456237944, omega=0.5562949026985631)
+    @example(eps=0.46199653982997435, eta=0.8477859049286439, omega=2.9999992916061924)
+    def test_scalar_path_has_the_array_paths_bits(self, sign, eps, eta, omega):
+        """Float arguments take the scalar branch; 0-d arrays and ``out`` take
+        the array path. The two must agree bit for bit, at +-omega."""
+        for w in (omega, -omega):
+            scalar = spectra.two_mode_variance(eps, eta, w, sign)
+            assert type(scalar) is float
+            array = spectra.two_mode_variance(np.array(eps), eta, np.array(w), sign)
+            into = spectra.two_mode_variance(eps, eta, np.array([w]), sign, out=np.empty(1))
+            assert scalar.hex() == array.hex() == float(into[0]).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(bad=BAD_EPS)
+    def test_invalid_scalar_rejected(self, bad):
+        with pytest.raises(PhysicsDomainError):
+            spectra.two_mode_variance(bad, 0.9, 0.0, "minus")
 
 
 class TestOrthogonalVariance:
