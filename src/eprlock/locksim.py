@@ -115,12 +115,11 @@ class LockSettings:
         if self.rate < 20.0 * max(self.loop_s.lpf_cutoff, self.loop_i.lpf_cutoff):
             raise ValueError("rate must be at least 20x the demodulation cutoff")
         _sample_count(self.duration, self.rate)
+        nyquist = self.rate / 2.0
         for name in ("disturbance_s", "disturbance_i", "disturbance_pump"):
             for line in getattr(self, name).sinusoids:
-                if not abs(line[0]) < self.rate / 2.0:
-                    raise ValueError(
-                        f"{name} line {list(line)} is at or above the Nyquist frequency {self.rate / 2.0:g} Hz"
-                    )
+                if not abs(line[0]) < nyquist:
+                    raise ValueError(f"{name} line {list(line)} is at or above the Nyquist frequency {nyquist:g} Hz")
 
     @property
     def samples(self) -> int:
@@ -153,12 +152,9 @@ def _sample_count(duration: float, rate: float) -> int:
 
 
 def synth_disturbance(spec: DisturbanceSpec, duration: float, rate: float) -> TimeSeries:
-    """Seeded disturbance record; bit-reproducible for a fixed seed.
-
-    The sum of its terms, each formed in place in one scratch record with
-    the operations of amp*sin(2 pi f t + phase) and ramp_rate*t in their
-    order, so no other record-sized temporary is made.
-    """
+    """Seeded disturbance record; bit-reproducible for a fixed seed. Each term
+    is formed in place in one scratch record, with the operations of its
+    plain expression in their order."""
     n = _sample_count(duration, rate)
     dt = 1.0 / rate
     rng = np.random.default_rng(spec.rng_seed)
