@@ -16,6 +16,7 @@ import argparse
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import shutil
 import sys
@@ -201,11 +202,21 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
 _CSV_CHUNK = 2048
 
 
+def _chunk(columns, start: int, rows: int) -> list:
+    """The cells of rows start to start + _CSV_CHUNK (at most ``rows``) of
+    each column: a slice of an array, or what a derived column, a function of
+    the row range (start, stop), forms for them."""
+    stop = min(start + _CSV_CHUNK, rows)
+    return [col(start, stop) if callable(col) else col[start:stop] for col in columns]
+
+
 def _encode(name: str, content):
     """Refuse an artifact with a non-finite value; a JSON payload becomes its text.
 
-    A dict is a JSON payload; a (header, columns) pair is a CSV table, whose
-    columns come back as float arrays of one length.
+    A dict is a JSON payload. A (header, columns) pair is a CSV table of at
+    least one array column; it comes back as (header, columns, rows), its
+    array columns as float arrays of one length, ``rows``. A derived column
+    is formed here chunk by chunk for the check, and again when written.
     """
     if isinstance(content, dict):
         try:
@@ -213,18 +224,22 @@ def _encode(name: str, content):
         except ValueError as exc:
             raise NumericalError(f"{name} would hold a non-finite value") from exc
     header, columns = content
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    if len({col.shape for col in columns}) > 1:
+    columns = [col if callable(col) else np.asarray(col, dtype=float) for col in columns]
+    arrays = [col for col in columns if not callable(col)]
+    derived = [col for col in columns if callable(col)]
+    if len({col.shape for col in arrays}) > 1:
         raise ValueError(f"{name} has columns of unequal length")
-    if not all(np.isfinite(col).all() for col in columns):
+    rows = len(arrays[0])
+    chunks = (cells for start in range(0, rows, _CSV_CHUNK) for cells in _chunk(derived, start, rows))
+    if not all(np.isfinite(cells).all() for cells in itertools.chain(arrays, chunks)):
         raise NumericalError(f"{name} would hold a non-finite value")
-    return header, columns
+    return header, columns, rows
 
 
-def _write_rows(fh, columns, starts) -> None:
+def _write_rows(fh, columns, starts, rows) -> None:
     """Write the chunks of rows at ``starts``, each formatted by kernels.format_csv_rows."""
     for start in starts:
-        fh.write(kernels.format_csv_rows(np.stack([col[start : start + _CSV_CHUNK] for col in columns], axis=1)))
+        fh.write(kernels.format_csv_rows(np.stack(_chunk(columns, start, rows), axis=1)))
 
 
 def _write(path: Path, content) -> None:
@@ -237,21 +252,21 @@ def _write(path: Path, content) -> None:
     if isinstance(content, str):
         path.write_text(content)
         return
-    header, columns = content
-    starts = range(0, len(columns[0]), _CSV_CHUNK)
+    header, columns, rows = content
+    starts = range(0, rows, _CSV_CHUNK)
     half = len(starts) // 2
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         if half == 0:
-            _write_rows(fh, columns, starts)
+            _write_rows(fh, columns, starts, rows)
             return
         with tempfile.TemporaryFile(dir=path.parent) as tail:
 
             def write_tail():
-                _write_rows(tail, columns, starts[half:])
+                _write_rows(tail, columns, starts[half:], rows)
                 tail.flush()  # the worker ends without flushing its buffers
 
-            fork_join(write_tail, lambda: _write_rows(fh, columns, starts[:half]))
+            fork_join(write_tail, lambda: _write_rows(fh, columns, starts[:half], rows))
             tail.seek(0)
             shutil.copyfileobj(tail, fh)
 
@@ -279,9 +294,9 @@ def _sample_rate(t: np.ndarray) -> float:
 
 
 def _rms_about_lock_point(theta: np.ndarray) -> float:
-    """sqrt(mean(theta^2)): the residual's RMS about theta = 0, where np.std
-    would hide a loop that holds the wrong fringe."""
-    return float(np.sqrt(np.mean(np.square(theta))))
+    """sqrt(mean(theta^2)), squaring ``theta`` in place: the residual's RMS
+    about theta = 0, where np.std would hide a loop that holds the wrong fringe."""
+    return float(np.sqrt(np.mean(np.square(theta, out=theta))))
 
 
 def _read_table(path: str | None) -> tuple[list[str], np.ndarray]:
@@ -387,14 +402,14 @@ def _cmd_lock_sim(cfg, sys_cfg, input_path):
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     result = locksim.run_closed_loop(settings, fields)
     theta_s, theta_i = result.residual_theta_s, result.residual_theta_i
-    common = result.common_mode_theta.samples
     summary = {
-        "sigma_theta_rms": _rms_about_lock_point(common),
+        "sigma_theta_rms": _rms_about_lock_point(result.common_mode()),
         "in_lock_fraction": result.in_lock_fraction,
         "saturation_count": result.saturation_count,
         "unstable": result.unstable,
     }
-    columns = [theta_s.times, theta_s.samples, theta_i.samples, common]
+    # t and theta_common are derived a chunk at a time: only the residuals exist whole.
+    columns = [theta_s.times, theta_s.samples, theta_i.samples, result.common_mode]
     return {"lock_traces.csv": (["t", "theta_s", "theta_i", "theta_common"], columns), "lock_summary.json": summary}
 
 
@@ -414,6 +429,7 @@ def _cmd_synth_epr(cfg, sys_cfg, input_path):
         (seed, locksim.PHOTOCURRENT_STREAM, 0), dark_noise=settings.dark_noise, buffers=buffers,
     )
     shot = locksim.shot_noise_reference(rate, (seed, locksim.SHOT_STREAM, 0), buffers=buffers)
+    # The t columns are derived a chunk at a time.
     return {
         "photocurrents.csv": (["t", "q_s", "q_i"], [q_s.times, q_s.samples, q_i.samples]),
         "shot_reference.csv": (["t", "shot"], [shot.times, shot.samples]),
@@ -462,7 +478,7 @@ def _cmd_reproduce_fig3(cfg, sys_cfg, input_path):
         raise ConfigError(f"lock_sim.duration = {settings.duration} s is too short for fig3's PSD: {exc}") from exc
     fields = nopo.steady_state_linear_solve(sys_cfg.cavity, sys_cfg.pump, sys_cfg.seed)
     result = locksim.run_closed_loop(settings, fields)
-    common = result.common_mode_theta
+    common = locksim.TimeSeries(settings.rate, result.common_mode())
     s_pp, beta, psd = locksim.calibrated_theta_psd(common, abs(fields.a_cls))
     summary = {
         "s_pp": s_pp,

@@ -106,7 +106,7 @@ def cavity_rk4(a_s0, a_i0, g, gamma, delta, drive, dt, n_steps, limit):
     return alpha_s, alpha_i, diverged
 
 
-def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
+def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range, out=None):
     """Single-arm phase servo: error -> LPF -> PI -> 2nd-order actuator.
 
     ``dist`` is the open-loop disturbance phase relative to the lock
@@ -115,9 +115,11 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     ``w_res``, damping coefficient ``w_damp = w_res/Q``) with hard
     saturation at +-``act_range``; while saturated the integrator is
     frozen (anti-windup). Returns the residual phase and the number of
-    samples at which the actuator was clamped to a rail.
+    samples at which the actuator was clamped to a rail. The residual goes
+    into ``out`` when given, a float64 record of ``len(dist)`` samples that
+    may be ``dist`` itself: each d[k] is read before out[k] is written.
     """
-    res = np.empty(len(dist))
+    res = np.empty(len(dist)) if out is None else out
     saturated = 0
     lpf = 0.0
     integ = 0.0
@@ -129,12 +131,12 @@ def servo_loop(dist, dt, amp, kp, ki, lpf_alpha, w_res, w_damp, act_range):
     # the arithmetic they carry. The inlined error amp*sin(phi) and command
     # kp*lpf + integ keep their operations and order, so the bits hold;
     # ki*lpf*dt must not become ki*dt first, which rounds differently.
-    out = memoryview(res)
+    written = memoryview(res)
     sin = math.sin
     w2 = w_res * w_res
     for k, d in enumerate(memoryview(np.ascontiguousarray(dist, dtype=float))):
         phi = d - y
-        out[k] = phi
+        written[k] = phi
         lpf += lpf_alpha * (amp * sin(phi) - lpf)
         if not frozen:
             integ += ki * lpf * dt

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import kernels
 from .estimation import (
-    MIN_FIT_POINTS, PsdEstimate, SqueezingDataset, apply_calibration, band_bins, band_power_scatter, integrate_psd,
-    welch_frequencies, welch_psd,
+    MIN_FIT_POINTS, PsdEstimate, SqueezingDataset, apply_calibration, band_bins, band_power_scatter,
+    default_segment_length, integrate_psd, welch_frequencies, welch_psd,
 )
 from .model import (
     DetectionParams, PhaseNoiseSpec, PhysicsDomainError, TimeSeries, _require_finite, _require_finite_fields,
@@ -136,12 +136,12 @@ class LockRunResult:
     in_lock_fraction: float
     unstable: bool = False
 
-    @property
-    def common_mode_theta(self) -> TimeSeries:
-        """Pointwise average of the two arm residuals."""
-        common = np.add(self.residual_theta_s.samples, self.residual_theta_i.samples)
+    def common_mode(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Pointwise average of the two arm residuals over samples start <= k
+        < stop (to the end by default), with the same bits in any range."""
+        common = np.add(self.residual_theta_s.samples[start:stop], self.residual_theta_i.samples[start:stop])
         common *= 0.5
-        return TimeSeries(self.residual_theta_s.sample_rate, common)
+        return common
 
 
 def _sample_count(duration: float, rate: float) -> int:
@@ -188,12 +188,13 @@ def error_signal(theta, amp):
     return amp * np.sin(np.asarray(theta))
 
 
-def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float):
+def _run_arm(loop: LoopConfig, dist: np.ndarray, rate: float, amp: float, out: np.ndarray):
+    """One arm's servo on ``dist``: its residual, written into ``out``, and its saturation count."""
     dt = 1.0 / rate
     lpf_alpha = 1.0 - math.exp(-2.0 * math.pi * loop.lpf_cutoff * dt)
     w_res = 2.0 * math.pi * loop.actuator_resonance
     return kernels.servo_loop(
-        dist, dt, amp, loop.kp, loop.ki, lpf_alpha, w_res, w_res / loop.actuator_q, loop.actuator_range
+        dist, dt, amp, loop.kp, loop.ki, lpf_alpha, w_res, w_res / loop.actuator_q, loop.actuator_range, out
     )
 
 
@@ -208,26 +209,29 @@ def run_closed_loop(settings: LockSettings, lock_fields: LockFieldState) -> Lock
     amp_s = abs(lock_fields.a_cls)
     amp_i = abs(lock_fields.a_cli)
     # The arms are independent, so the idler's runs in a forked worker
-    # (model.fork_join): it draws its own seeded disturbances and writes its
-    # residual into this shared buffer, while this process draws and runs
-    # the signal arm's.
+    # (model.fork_join): it draws its own seeded disturbances and its servo
+    # writes the residual straight into this shared buffer, while this
+    # process draws the signal arm's and runs its servo over that record.
     res_i = np.frombuffer(mmap.mmap(-1, 8 * n), dtype=float)
 
     def idler_arm():
         d_i = synth_disturbance(settings.disturbance_i, duration, rate).samples
         d_i += synth_disturbance(settings.disturbance_pump, duration, rate).samples
-        res, saturated = _run_arm(settings.loop_i, d_i, rate, amp_i)
-        res_i[:] = res
-        return saturated
+        return _run_arm(settings.loop_i, d_i, rate, amp_i, res_i)[1]
 
     def signal_arm():
-        return _run_arm(settings.loop_s, synth_disturbance(settings.disturbance_s, duration, rate).samples, rate, amp_s)
+        d_s = synth_disturbance(settings.disturbance_s, duration, rate).samples
+        return _run_arm(settings.loop_s, d_s, rate, amp_s, d_s)
 
     sat_i, (res_s, sat_s) = fork_join(idler_arm, signal_arm)
 
-    # -T < r < T is |r| < T for every float, NaN included, with no float temporary.
+    # -T < r < T is |r| < T for every float, NaN included; one boolean mask, no float temporary.
     lim = IN_LOCK_THRESHOLD
-    in_lock = float(np.mean((res_s > -lim) & (res_s < lim) & (res_i > -lim) & (res_i < lim)))
+    mask = res_s > -lim
+    mask &= res_s < lim
+    mask &= res_i > -lim
+    mask &= res_i < lim
+    in_lock = float(np.mean(mask))
 
     # Diverging residual variance marks an unstable loop: compare the last
     # quarter of the record against the second quarter (first quarter is
@@ -274,9 +278,10 @@ class RecordBuffers:
       shot-noise reference;
     - ``mix``: theta's deviations from its mean, cos and sin theta, then q_s;
     - ``spectrum``: one record's rfft spectrum, as 2 (n // 2 + 1) floats,
-      then fig4's Welch spectra and powers;
-    - ``gain``: the n // 2 + 1 bin gains of that spectrum, then fig4's
-      windowed Welch segments.
+      then fig4's windowed Welch segments, spectra and powers.
+
+    A record drawn as a spectrum first holds that spectrum's n // 2 + 1 bin
+    gains, in its own buffer.
     """
 
     theta: np.ndarray
@@ -284,16 +289,14 @@ class RecordBuffers:
     plus: np.ndarray
     mix: np.ndarray
     spectrum: np.ndarray
-    gain: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> RecordBuffers:
         """A set for n-sample records; past the sample budget, a ConfigError
         before anything is allocated."""
         n = sample_budget(n, "record samples")
-        m = n // 2 + 1
         records = (np.empty(n) for _ in range(3))
-        return cls(np.empty(n + kernels.LOWPASS_PAD), *records, spectrum=np.empty(2 * m), gain=np.empty(m))
+        return cls(np.empty(n + kernels.LOWPASS_PAD), *records, spectrum=np.empty(2 * (n // 2 + 1)))
 
 
 def _theta_alpha(cutoff: float, rate: float) -> float:
@@ -387,12 +390,11 @@ def synth_epr_photocurrents(
     real_bins = [0, m - 1] if n % 2 == 0 else [0]
     grid = _bin_grid(n, rate, gamma)
 
-    def gain_for(sign: str) -> np.ndarray:
-        gain = two_mode_variance(epsilon, 1.0, grid, sign, out=buffers.gain)
+    def record(sign: str, out: np.ndarray) -> np.ndarray:
+        # The bin gains go into the record's own buffer, spent before the irfft writes it.
+        gain = two_mode_variance(epsilon, 1.0, grid, sign, out=out[:m])
         gain *= n / 2.0
-        return np.sqrt(gain, out=gain)
-
-    def record(gain: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.sqrt(gain, out=gain)
         spectrum = rng.standard_normal(2 * m, out=buffers.spectrum).view(complex)
         spectrum[real_bins] = math.sqrt(2.0) * spectrum.real[real_bins]
         spectrum *= gain
@@ -400,21 +402,19 @@ def synth_epr_photocurrents(
 
     # In place, in the order of the plain expressions (q_minus*cos + orth*sin,
     # (q_plus +- q_minus)/sqrt(2), sqrt(eta)*q + sqrt(1 - eta)*vacuum): the bits
-    # are theirs. Records are drawn minus, plus, then (given theta) plus,
-    # minus; the one gain buffer is refilled for each new sign.
-    q_minus = record(gain_for("minus"), buffers.minus)
-    plus_gain = gain_for("plus")
-    q_plus = record(plus_gain, buffers.plus)
+    # are theirs. Records are drawn minus, plus, then (given theta) plus, minus.
+    q_minus = record("minus", buffers.minus)
+    q_plus = record("plus", buffers.plus)
     if theta is not None:
         trig = np.cos(theta.samples, out=buffers.mix)
         q_minus *= trig
         q_plus *= trig
         np.sin(theta.samples, out=trig)
         # theta is spent: the two orthogonal records share its buffer, each drawn where it is mixed in.
-        orth = record(plus_gain, buffers.theta[:n])
+        orth = record("plus", buffers.theta[:n])
         orth *= trig
         q_minus += orth
-        record(gain_for("minus"), out=orth)
+        record("minus", orth)
         orth *= trig
         q_plus += orth
 
@@ -509,9 +509,9 @@ def fig4_point(
     joint quadratures' band variances are normalized to a shot-noise record.
     Every record it draws goes into ``buffers``, a set for
     ``settings.samples``-sample records, which it leaves free for the next
-    point; its three Welch passes run in the set's spent ``gain`` and
-    ``spectrum``. Each draw takes the key (``run_seed``, its stream, ``index``),
-    so points can run in any order or at once, each thread with its own set.
+    point; its three Welch passes run in the set's spent ``spectrum``. Each
+    draw takes the key (``run_seed``, its stream, ``index``), so points can
+    run in any order or at once, each thread with its own set.
     """
     rate, (f_lo, f_hi), detection = settings.rate, settings.band, settings.detection
     g = detection.idler_weight
@@ -522,7 +522,10 @@ def fig4_point(
         epsilon, detection.eta_s, detection.eta_i, settings.gamma, theta, rate,
         (run_seed, PHOTOCURRENT_STREAM, index), buffers=buffers,
     )
-    welch = (buffers.gain, buffers.spectrum)  # spent once the photocurrents are drawn
+    # The spent spectrum buffer, split into as many Welch rows as both halves hold.
+    segment = default_segment_length(settings.samples)
+    cut = buffers.spectrum.size // (segment + 3 * (segment // 2 + 1)) * segment
+    welch = (buffers.spectrum[:cut], buffers.spectrum[cut:])
     shot = shot_noise_reference(rate, (run_seed, SHOT_STREAM, index), buffers=buffers)
     shot_power = band_power(shot, f_lo, f_hi, scratch=welch)
     # The joint quadratures (q_s -+ g q_i)/sqrt(1 + g^2) see the loss

@@ -158,10 +158,11 @@ class TimeSeries:
         if self.samples.size == 0:
             raise ValueError("samples must be non-empty")
 
-    @property
-    def times(self) -> np.ndarray:
-        """np.arange(size) / sample_rate, divided in place."""
-        times = np.arange(self.samples.size, dtype=float)
+    def times(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The times k / sample_rate of samples start <= k < stop (to the
+        end by default), a float arange divided in place: each time has the
+        same bits whatever range it is formed in."""
+        times = np.arange(start, self.samples.size if stop is None else stop, dtype=float)
         times /= self.sample_rate
         return times
 

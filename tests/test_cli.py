@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -586,6 +587,26 @@ class TestLockSimCommand:
         # The RMS about the lock point, which differs from np.std by 2e-5 here.
         assert summary["sigma_theta_rms"] == pytest.approx(math.sqrt(np.mean(data[:, 3] ** 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("cpus, budget", [(2, 3.5), (1, 4.5)], ids=["forked", "inline"])
+    def test_peak_holds_three_records_forked_and_four_inline(self, tmp_path, monkeypatch, cpus, budget):
+        """numpy's traced peak of a 0.5 s lock-sim in this process, in
+        100,000-sample records. Forked it is three: a disturbance record, its
+        time grid and one line term while the signal arm draws, and as much
+        while the CSV writer formats a chunk (about 1.5 MB) beside the signal
+        residual. Inline, the idler arm draws while the signal residual is
+        held, one more. The idler's residual lies in a shared map, which
+        tracemalloc does not trace; t and theta_common exist only a chunk at
+        a time."""
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        assert cli.main(["lock-sim", "--set", "lock_sim.duration=0.01", "--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(["lock-sim", "--set", "lock_sim.duration=0.5", "--out", str(tmp_path / "run")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 100_000) <= budget
+
     def test_a_loop_on_the_wrong_fringe_reads_its_offset(self, tmp_path):
         """A sign-inverted signal loop locks half a fringe away: the common
         mode sits near pi/2, which np.std would have hidden (it read 48 mrad)."""
@@ -880,6 +901,16 @@ def _one_per_layout():
     return values
 
 
+def _csv_reference(path, header, columns):
+    """The table written with csv.writer and repr(float) cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(x)) for x in row])
+    return path.read_bytes()
+
+
 class TestWrite:
     @pytest.mark.parametrize(
         "rows, width",
@@ -910,13 +941,7 @@ class TestWrite:
         ][:width]
         path = tmp_path / "table.csv"
         cli._write(path, cli._encode(path.name, (header, columns)))
-        reference = tmp_path / "reference.csv"
-        with open(reference, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in zip(*columns):
-                writer.writerow([repr(float(x)) for x in row])
-        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes() == _csv_reference(tmp_path / "reference.csv", header, columns)
 
     @settings(deadline=None, max_examples=400)
     @given(
@@ -949,6 +974,102 @@ class TestWrite:
         columns = [np.zeros(n) for n in lengths]
         with pytest.raises(ValueError, match="unequal length"):
             cli._encode("table.csv", ([f"c{k}" for k in range(len(lengths))], columns))
+
+
+# Row counts around the CSV chunk of 2048 rows: one chunk, its edges, and four chunks.
+_DERIVED_ROWS = [1, 2047, 2048, 2049, 3 * 2048 + 1]
+
+
+class TestDerivedColumns:
+    """A table column may be a function of the row range, formed a chunk at a
+    time: lock-sim's t and theta_common and synth-epr's t columns."""
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    @pytest.mark.parametrize("rows", _DERIVED_ROWS)
+    def test_bytes_match_the_materialized_columns(self, tmp_path, monkeypatch, rows, cpus):
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(rows)
+        res_s, res_i = (locksim.TimeSeries(2e5, rng.standard_normal(rows) * 0.01) for _ in range(2))
+        result = locksim.LockRunResult(res_s, res_i, 0, 1.0)
+        header = ["t", "theta_s", "theta_i", "theta_common"]
+        derived = [res_s.times, res_s.samples, res_i.samples, result.common_mode]
+        materialized = [res_s.times(), res_s.samples, res_i.samples, result.common_mode()]
+        for name, columns in (("derived.csv", derived), ("materialized.csv", materialized)):
+            cli._write(tmp_path / name, cli._encode(name, (header, columns)))
+        assert (tmp_path / "derived.csv").read_bytes() == (tmp_path / "materialized.csv").read_bytes()
+        assert_no_child_left()
+
+    # The commands draw at least two samples: 2 stands in for 1.
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
+    @pytest.mark.parametrize("rows", [2, *_DERIVED_ROWS[1:]])
+    @pytest.mark.parametrize("command", ["lock-sim", "synth-epr"])
+    def test_commands_write_the_plain_expressions(self, tmp_path, monkeypatch, command, rows, cpus):
+        """Every derived cell is that of np.arange(n) / rate or 0.5 * (theta_s
+        + theta_i), written as csv.writer writes repr(float)."""
+        monkeypatch.setattr(model, "usable_cpus", lambda: cpus)
+        block = "lock_sim" if command == "lock-sim" else "synth_epr"
+        rate = cli.DEFAULT_CONFIG[block]["rate"]
+        out = tmp_path / "run"
+        assert cli.main([command, "--set", f"{block}.duration={rows / rate!r}", "--out", str(out)]) == 0
+        t = np.arange(rows) / rate
+        if command == "lock-sim":
+            header, data = _read_csv(out / "lock_traces.csv")
+            s, i = data[:, 1], data[:, 2]
+            tables = {"lock_traces.csv": (header, [t, s, i, 0.5 * (s + i)])}
+        else:
+            tables = {}
+            for name in ("photocurrents.csv", "shot_reference.csv"):
+                header, data = _read_csv(out / name)
+                tables[name] = (header, [t, *data[:, 1:].T])
+        for name, (header, columns) in tables.items():
+            assert len(columns[0]) == rows
+            assert (out / name).read_bytes() == _csv_reference(tmp_path / "reference.csv", header, columns), name
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cell", ["time", "common", "inf"])
+    def test_a_non_finite_derived_cell_is_4(self, tmp_path, capsys, monkeypatch, cell):
+        """Only the last of four chunks holds the bad cell, and a JSON payload
+        comes first: _encode forms every chunk before any file is written."""
+        rows = 3 * 2048 + 1
+        big = np.zeros(rows)
+        big[-1] = 1e308
+        # k / rate overflows from k = 6144 on.
+        tiny = locksim.TimeSeries(6143.5 / sys.float_info.max, np.zeros(rows))
+        result = locksim.LockRunResult(locksim.TimeSeries(1.0, big), locksim.TimeSeries(1.0, big), 0, 1.0)
+        derived = {
+            "time": tiny.times,
+            "common": result.common_mode,
+            "inf": lambda start, stop: np.where(np.arange(start, stop) == rows - 1, np.inf, 0.0),
+        }[cell]
+
+        def handler(cfg, sys_cfg, input_path):
+            return {"first.json": {"rows": rows}, "table.csv": (["t", "x"], [derived, np.zeros(rows)])}
+
+        monkeypatch.setitem(cli._COMMANDS, "steady-state", handler)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["steady-state", "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numerical"
+        assert not out.exists()
+
+    def test_psd_and_integrate_write_array_columns(self, tmp_path):
+        """psd (on 5,000 rows) and integrate keep their materialized columns,
+        written as csv.writer writes repr(float)."""
+        table = tmp_path / "table.csv"
+        rows = np.random.default_rng(5).standard_normal(5000).tolist()
+        table.write_text("t,value\n" + "".join(f"{k / 1e3!r},{x!r}\n" for k, x in enumerate(rows)))
+        cfg = cli.load_config(None, [])
+        sys_cfg = model.config_from_dict(cfg)
+        for command, handler, input_path in (("psd", cli._cmd_psd, str(table)), ("integrate", cli._cmd_integrate, None)):
+            ((name, (header, columns)),) = handler(cfg, sys_cfg, input_path).items()
+            assert all(isinstance(col, np.ndarray) for col in columns)
+            args = [command, "--out", str(tmp_path / command)] + (["--input", input_path] if input_path else [])
+            assert cli.main(args) == 0
+            reference = _csv_reference(tmp_path / "reference.csv", header, columns)
+            assert (tmp_path / command / name).read_bytes() == reference
 
 
 class TestImport:

@@ -16,13 +16,19 @@ from eprlock import cli, estimation, kernels, locksim, model, spectra
 class TestTimeSeries:
     def test_times(self):
         ts = locksim.TimeSeries(sample_rate=100.0, samples=np.zeros(50))
-        assert ts.times[1] == pytest.approx(0.01)
+        assert ts.times()[1] == pytest.approx(0.01)
 
     @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(1, 5000), rate=st.floats(1e-3, 1e7))
-    def test_times_keep_the_plain_expression_bits(self, n, rate):
-        times = locksim.TimeSeries(sample_rate=rate, samples=np.zeros(n)).times
-        assert times.tobytes() == (np.arange(n) / rate).tobytes()
+    @given(n=st.integers(1, 5000), rate=st.floats(1e-3, 1e7), data=st.data())
+    def test_times_keep_the_plain_expression_bits(self, n, rate, data):
+        """The whole record's times, and those of any range of it, are the
+        bits of np.arange(n) / rate."""
+        ts = locksim.TimeSeries(sample_rate=rate, samples=np.zeros(n))
+        plain = np.arange(n) / rate
+        assert ts.times().tobytes() == plain.tobytes()
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.integers(start + 1, n))
+        assert ts.times(start, stop).tobytes() == plain[start:stop].tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -60,7 +66,7 @@ class TestSynthDisturbance:
     def test_ramp_and_sinusoid(self):
         spec = locksim.DisturbanceSpec(ramp_rate=3.0, sinusoids=((10.0, 0.5, 0.0),))
         ts = locksim.synth_disturbance(spec, 1.0, 1e4)
-        t = ts.times
+        t = ts.times()
         np.testing.assert_allclose(
             ts.samples, 3.0 * t + 0.5 * np.sin(2.0 * np.pi * 10.0 * t), atol=1e-12
         )
@@ -165,7 +171,7 @@ class TestRunClosedLoop:
         result = locksim.run_closed_loop(
             locksim.LockSettings(_quiet_loop(), _quiet_loop(), quiet, quiet, quiet, 0.2, 2e5), FIELDS
         )
-        assert np.max(np.abs(result.common_mode_theta.samples)) < 1e-12
+        assert np.max(np.abs(result.common_mode())) < 1e-12
         assert result.in_lock_fraction == 1.0
         assert result.saturation_count == 0
         assert not result.unstable
@@ -214,10 +220,15 @@ class TestRunClosedLoop:
         servo replaced by a given residual, told apart by the arm's lock-field
         amplitude: the in-lock fraction is that of |r| < T on both arms, NaN
         and the threshold itself included, and the common mode is
-        0.5*(theta_s + theta_i) bit for bit."""
+        0.5*(theta_s + theta_i) bit for bit, over the record and any range of it."""
         res_s, res_i = np.array(residuals[:6]), np.array(residuals[6:])
+
+        def given_arm(loop, dist, rate, amp, out):
+            out[:] = res_s if amp == abs(FIELDS.a_cls) else res_i
+            return out, 0
+
         real = locksim._run_arm
-        locksim._run_arm = lambda loop, dist, rate, amp: (res_s if amp == abs(FIELDS.a_cls) else res_i, 0)
+        locksim._run_arm = given_arm
         try:
             quiet = locksim.DisturbanceSpec()
             result = locksim.run_closed_loop(
@@ -229,7 +240,10 @@ class TestRunClosedLoop:
         with np.errstate(invalid="ignore", over="ignore"):
             assert result.in_lock_fraction == float(np.mean((np.abs(res_s) < lim) & (np.abs(res_i) < lim)))
             common = 0.5 * (res_s + res_i)
-        assert result.common_mode_theta.samples.tobytes() == common.tobytes()
+            assert result.common_mode().tobytes() == common.tobytes()
+            for start in range(6):
+                for stop in range(start + 1, 7):
+                    assert result.common_mode(start, stop).tobytes() == common[start:stop].tobytes()
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["forked", "inline"])
     def test_saturation_count_sums_both_arms(self, cpus, monkeypatch):
@@ -714,6 +728,14 @@ class TestRecordBuffers:
     ARMS = [(1.0, 1.0), (0.95, 0.75), (0.9, 0.0)]
 
     @pytest.mark.parametrize("n", [4000, 4001])
+    def test_a_set_holds_five_record_sized_buffers(self, n):
+        """theta with the low-pass scan's pad, minus, plus, mix and the
+        2 (n // 2 + 1)-float spectrum: each record's bin gains go into its own buffer."""
+        buffers = locksim.RecordBuffers.empty(n)
+        sizes = {name: array.size for name, array in vars(buffers).items()}
+        assert sizes == {"theta": n + kernels.LOWPASS_PAD, "minus": n, "plus": n, "mix": n, "spectrum": 2 * (n // 2 + 1)}
+
+    @pytest.mark.parametrize("n", [4000, 4001])
     @pytest.mark.parametrize("sigma", [0.0, 0.02])
     def test_theta_and_shot_records(self, n, sigma):
         buffers = _stale_buffers(n)
@@ -744,7 +766,7 @@ class TestRecordBuffers:
             if theta_from == "caller":
                 np.testing.assert_array_equal(theta.samples, ref_theta.samples)  # a caller's theta is not spent
 
-    # At n = 10 and 13 the gain buffer holds less than one Welch segment of 8.
+    # At n = 10 and 13 the spectrum buffer holds no Welch row: a segment of 8 and its spectra take 23 floats.
     @pytest.mark.parametrize("n", [10, 13, 4000, 4001])
     def test_fig4_points_share_one_set(self, n):
         buffers = _stale_buffers(n)
